@@ -48,7 +48,6 @@ from .oracle import (
     oracle_log_det,
 )
 from .singularities import (
-    FieldW,
     Singularity,
     SingularityConfig,
     ThinningSpec,
@@ -59,10 +58,6 @@ from .asymptotics import (
     ExpansionCoefficients,
     PredictionResult,
     composed_constants,
-    compute_C1,
-    compute_C2,
-    compute_C3,
-    compute_C4,
     cumulative_measure,
     expansion_coefficients,
     gue_asymptotic_constants,

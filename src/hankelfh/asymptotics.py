@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import ChebSeries, cheb_weighted_integrals, hilbert_T, t_to_u
-from .equilibrium import EquilibriumMeasure, Potential
 from .errors import DomainError
-from .singularities import SingularityConfig, as_field
+from .singularities import as_field
 from .special import log_barnes_g, zeta_prime_minus_one
 
 _LOG2 = float(np.log(2.0))
@@ -206,25 +205,6 @@ def expansion_coefficients(V, measure, W, cfg):
         beta_max=cfg.beta_max,
         term_breakdown=breakdown,
     )
-
-
-def compute_C1(V, measure):
-    return expansion_coefficients(V, measure, None, SingularityConfig()).C1
-
-
-def compute_C2(V, measure, W, cfg):
-    return expansion_coefficients(V, measure, W, cfg).C2
-
-
-def compute_C3(cfg):
-    total = -1.0 / 12.0 + sum(
-        0.25 * s.alpha ** 2 - s.beta ** 2 for s in cfg
-    )
-    return complex(total)
-
-
-def compute_C4(V, measure, W, cfg):
-    return expansion_coefficients(V, measure, W, cfg).C4
 
 
 def predict_log_hankel(V, measure, W, cfg, n):

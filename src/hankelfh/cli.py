@@ -23,25 +23,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .asymptotics import predict_log_hankel
 from .chebyshev import ChebSeries
-from .equilibrium import Potential, equilibrium_measure, rescale
+from .equilibrium import Potential, RescaledProblem, equilibrium_measure, rescale
 from .errors import ConvergenceError, HankelFHError, RegularityError
 from .montecarlo import mc_gap_probability
-from .oracle import (
-    WeightSpec,
-    default_precision_bits,
-    oracle_log_det,
-    _wrap_phase,
-)
+from .oracle import WeightSpec, default_precision_bits, oracle_log_det, wrap_phase
 from .singularities import Singularity, SingularityConfig, ThinningSpec
 from .thinning import gap_probability_log, thinning_to_betas
-
-PRECISION_ENV = "HANKEL_FH_PRECISION"
 
 CONFIG_KEYS = {
     "potential": "ascending monomial coefficients of V (required)",
@@ -80,27 +73,20 @@ class ExperimentConfig:
     thinning_sectors: list = field(default_factory=list)
     thinning_s: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "potential": list(self.potential),
-            "support": list(self.support),
-            "field_cheb": list(self.field_cheb),
-            "field_poly": list(self.field_poly),
-            "singularities": [dict(s) for s in self.singularities],
-            "n_list": list(self.n_list),
-            "precision_bits": self.precision_bits,
-            "output_format": self.output_format,
-            "seed": self.seed,
-            "mc_samples": self.mc_samples,
-            "thinning_boundaries": list(self.thinning_boundaries),
-            "thinning_sectors": list(self.thinning_sectors),
-            "thinning_s": list(self.thinning_s),
-        }
-
 
 def _require(cond, key, message):
     if not cond:
         raise ConfigError(f"config key '{key}': {message}")
+
+
+def _float_list(data, key):
+    vals = data[key]
+    _require(
+        isinstance(vals, list) and all(isinstance(v, (int, float)) for v in vals),
+        key,
+        "needs a numeric list",
+    )
+    return [float(v) for v in vals]
 
 
 def parse_config(data) -> ExperimentConfig:
@@ -131,14 +117,7 @@ def parse_config(data) -> ExperimentConfig:
         cfg.support = [float(sup[0]), float(sup[1])]
     for key in ("field_cheb", "field_poly"):
         if key in data:
-            vals = data[key]
-            _require(
-                isinstance(vals, list)
-                and all(isinstance(v, (int, float)) for v in vals),
-                key,
-                "needs a numeric list",
-            )
-            setattr(cfg, key, [float(v) for v in vals])
+            setattr(cfg, key, _float_list(data, key))
     _require(
         not (cfg.field_cheb and cfg.field_poly),
         "field_poly",
@@ -185,11 +164,17 @@ def parse_config(data) -> ExperimentConfig:
                  "must be 'json' or 'csv'")
         cfg.output_format = data["output_format"]
     if "thinning_boundaries" in data:
-        cfg.thinning_boundaries = [float(v) for v in data["thinning_boundaries"]]
+        cfg.thinning_boundaries = _float_list(data, "thinning_boundaries")
     if "thinning_sectors" in data:
-        cfg.thinning_sectors = [int(v) for v in data["thinning_sectors"]]
+        sectors = data["thinning_sectors"]
+        _require(
+            isinstance(sectors, list) and all(isinstance(v, int) for v in sectors),
+            "thinning_sectors",
+            "needs a list of integer sector indices",
+        )
+        cfg.thinning_sectors = list(sectors)
     if "thinning_s" in data:
-        cfg.thinning_s = [float(v) for v in data["thinning_s"]]
+        cfg.thinning_s = _float_list(data, "thinning_s")
     _require(
         len(cfg.thinning_sectors) == len(cfg.thinning_s),
         "thinning_s",
@@ -205,78 +190,51 @@ def _c(z):
 
 @dataclass
 class _Problem:
-    """Domain objects built from a config, rescaled to [-1, 1] if needed."""
+    """Domain objects built from a config, rescaled to [-1, 1]."""
 
     V: Potential
     measure: object
     W: ChebSeries
     cfg: SingularityConfig
-    rescaled: bool
-    log_half_width: float
+    rescaled: RescaledProblem
 
     def correction(self, n):
-        if not self.rescaled:
-            return 0.0 + 0.0j
-        A = self.cfg.alpha_sum
-        return (n * n + n * A) * self.log_half_width
+        # + 0j keeps the [-1, 1] correction an exact 0j: it turns the signed
+        # zeros of (n^2 + nA) * 0.0 into +0.0
+        return self.rescaled.log_det_correction(n, self.cfg.alpha_sum) + 0j
 
 
 def _build_problem(cfg: ExperimentConfig, with_measure=True) -> _Problem:
     a, b = cfg.support
-    t_raw = [s["t"] for s in cfg.singularities]
-    rescaled = not (a == -1.0 and b == 1.0)
-    if rescaled:
-        if cfg.field_poly:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            comp = np.polynomial.polynomial.Polynomial(cfg.field_poly)(
-                np.polynomial.polynomial.Polynomial([mid, half])
-            )
-            w_series = ChebSeries.from_monomials(comp.coef)
-        elif cfg.field_cheb:
-            w_series = ChebSeries(cfg.field_cheb)
-        else:
-            w_series = ChebSeries.zero()
-        res = rescale(Potential(cfg.potential), a, b, w_series, t_raw)
-        V, W, ts = res.V, res.W, list(res.t)
-        log_half_width = res.log_half_width
+    if cfg.field_poly:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        comp = np.polynomial.polynomial.Polynomial(cfg.field_poly)(
+            np.polynomial.polynomial.Polynomial([mid, half])
+        )
+        w_series = ChebSeries.from_monomials(comp.coef)
+    elif cfg.field_cheb:
+        w_series = ChebSeries(cfg.field_cheb)
     else:
-        V = Potential(cfg.potential)
-        if cfg.field_poly:
-            W = ChebSeries.from_monomials(cfg.field_poly)
-        elif cfg.field_cheb:
-            W = ChebSeries(cfg.field_cheb)
-        else:
-            W = ChebSeries.zero()
-        ts = t_raw
-        log_half_width = 0.0
-    order = np.argsort(ts) if ts else []
+        w_series = ChebSeries.zero()
+    res = rescale(
+        Potential(cfg.potential), a, b, w_series, [s["t"] for s in cfg.singularities]
+    )
+    order = np.argsort(res.t) if res.t else []
     sings = tuple(
         Singularity(
-            ts[i],
+            res.t[i],
             complex(cfg.singularities[i]["alpha_re"], cfg.singularities[i]["alpha_im"]),
             complex(cfg.singularities[i]["beta_re"], cfg.singularities[i]["beta_im"]),
         )
         for i in order
     )
-    sing_cfg = SingularityConfig(sings)
-    measure = equilibrium_measure(V) if with_measure else None
     return _Problem(
-        V=V,
-        measure=measure,
-        W=W,
-        cfg=sing_cfg,
-        rescaled=rescaled,
-        log_half_width=log_half_width,
+        V=res.V,
+        measure=equilibrium_measure(res.V) if with_measure else None,
+        W=res.W,
+        cfg=SingularityConfig(sings),
+        rescaled=res,
     )
-
-
-def _precision(cfg: ExperimentConfig, n):
-    if cfg.precision_bits:
-        return cfg.precision_bits
-    env = os.environ.get(PRECISION_ENV)
-    if env:
-        return int(env)
-    return default_precision_bits(n)
 
 
 # ----------------------------------------------------------------- commands
@@ -300,12 +258,12 @@ def cmd_eqmeasure(cfg: ExperimentConfig):
             "tail_increasing": cert.tail_increasing,
         },
     }
-    if prob.rescaled:
+    if cfg.support != [-1.0, 1.0]:
         report["rescale"] = {
             "support": list(cfg.support),
-            "log_half_width": prob.log_half_width,
+            "log_half_width": prob.rescaled.log_half_width,
         }
-    return {"config": cfg.to_dict(), "rows": [], "summary": report}, 0
+    return {"config": asdict(cfg), "rows": [], "summary": report}, 0
 
 
 def _predict_rows(cfg: ExperimentConfig, prob: _Problem):
@@ -318,7 +276,7 @@ def _predict_rows(cfg: ExperimentConfig, prob: _Problem):
             {
                 "n": n,
                 "log_abs": value.real,
-                "phase": _wrap_phase(value.imag),
+                "phase": wrap_phase(value.imag),
                 "error_scale": pred.error_scale,
                 "terms": {
                     "C1": _c(coeffs.C1),
@@ -336,34 +294,14 @@ def cmd_predict(cfg: ExperimentConfig):
     prob = _build_problem(cfg)
     rows = _predict_rows(cfg, prob)
     summary = {"beta_max": prob.cfg.beta_max}
-    return {"config": cfg.to_dict(), "rows": rows, "summary": summary}, 0
+    return {"config": asdict(cfg), "rows": rows, "summary": summary}, 0
 
 
-def _oracle_payload(cfg: ExperimentConfig, prob: _Problem, n):
+def _oracle_row(ws: WeightSpec, precision_bits):
+    """Worker for one exact determinant."""
+    result = oracle_log_det(ws, precision_bits)
     return {
-        "v_coeffs": [float(c) for c in prob.V.coeffs],
-        "w_coeffs": [float(c) for c in np.real(prob.W.coeffs)],
-        "sings": [
-            (s.t, s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag)
-            for s in prob.cfg
-        ],
-        "n": n,
-        "precision_bits": _precision(cfg, n),
-    }
-
-
-def _oracle_row(payload):
-    """Worker for one exact determinant; takes/returns primitives only."""
-    V = Potential(payload["v_coeffs"])
-    W = ChebSeries(payload["w_coeffs"])
-    sings = tuple(
-        Singularity(t, complex(ar, ai), complex(br, bi))
-        for (t, ar, ai, br, bi) in payload["sings"]
-    )
-    ws = WeightSpec(V, W, SingularityConfig(sings), payload["n"])
-    result = oracle_log_det(ws, payload["precision_bits"])
-    return {
-        "n": payload["n"],
+        "n": ws.n,
         "log_abs": result.log_abs,
         "phase": result.phase,
         "precision_bits": result.precision_bits,
@@ -374,22 +312,23 @@ def _oracle_row(payload):
 
 
 def _run_oracle_rows(cfg: ExperimentConfig, prob: _Problem):
-    payloads = [_oracle_payload(cfg, prob, n) for n in cfg.n_list]
+    weights = [WeightSpec(prob.V, prob.W, prob.cfg, n) for n in cfg.n_list]
+    bits = [cfg.precision_bits or default_precision_bits(n) for n in cfg.n_list]
     rows = None
-    if len(payloads) > 1:
+    if len(weights) > 1:
         try:
             with ProcessPoolExecutor(
-                max_workers=min(len(payloads), os.cpu_count() or 1)
+                max_workers=min(len(weights), os.cpu_count() or 1)
             ) as pool:
-                rows = list(pool.map(_oracle_row, payloads))
+                rows = list(pool.map(_oracle_row, weights, bits))
         except (OSError, RuntimeError):
             rows = None  # fall back to in-process evaluation
     if rows is None:
-        rows = [_oracle_row(p) for p in payloads]
+        rows = [_oracle_row(ws, pb) for ws, pb in zip(weights, bits)]
     for row in rows:
         corr = prob.correction(row["n"])
         row["log_abs"] += corr.real
-        row["phase"] = _wrap_phase(row["phase"] + corr.imag)
+        row["phase"] = wrap_phase(row["phase"] + corr.imag)
         row["rescale_correction"] = _c(corr)
     return sorted(rows, key=lambda r: r["n"])
 
@@ -398,7 +337,7 @@ def cmd_oracle(cfg: ExperimentConfig):
     prob = _build_problem(cfg, with_measure=False)
     rows = _run_oracle_rows(cfg, prob)
     code = 3 if any(not r["converged"] for r in rows) else 0
-    return {"config": cfg.to_dict(), "rows": rows, "summary": {}}, code
+    return {"config": asdict(cfg), "rows": rows, "summary": {}}, code
 
 
 def _fit_decay(ns, residuals):
@@ -421,7 +360,7 @@ def cmd_compare(cfg: ExperimentConfig):
         n = orc["n"]
         pred = pred_rows[n]
         res_abs = abs(pred["log_abs"] - orc["log_abs"])
-        res_phase = abs(_wrap_phase(pred["phase"] - orc["phase"]))
+        res_phase = abs(wrap_phase(pred["phase"] - orc["phase"]))
         rows.append(
             {
                 "n": n,
@@ -442,7 +381,7 @@ def cmd_compare(cfg: ExperimentConfig):
         "beta_max": prob.cfg.beta_max,
     }
     code = 3 if any(not r["converged"] for r in rows) else 0
-    return {"config": cfg.to_dict(), "rows": rows, "summary": summary}, code
+    return {"config": asdict(cfg), "rows": rows, "summary": summary}, code
 
 
 def cmd_thinning(cfg: ExperimentConfig):
@@ -475,7 +414,7 @@ def cmd_thinning(cfg: ExperimentConfig):
         "betas": [_c(b) for b in tmap.betas],
         "log_prefactor_per_point": tmap.log_prefactor,
     }
-    return {"config": cfg.to_dict(), "rows": rows, "summary": summary}, 0
+    return {"config": asdict(cfg), "rows": rows, "summary": summary}, 0
 
 
 # ------------------------------------------------------------------- output

@@ -55,7 +55,9 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
 
     Each eigenvalue falling in a thinned sector k survives thinning with
     probability 1 - s_k and destroys the gap. Returns the sample mean of the
-    gap indicator and its binomial standard error.
+    gap indicator and its binomial standard error. With no hit at all the
+    error is the one-sigma Wilson score bound 1/(samples + 1): the gap
+    probability is never exactly 0, since every s_k > 0.
     """
     if n > MAX_N:
         raise DomainError(f"Monte Carlo sampler supports n <= {MAX_N}, got {n}")
@@ -83,5 +85,8 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
         hits += int((~survivor).sum())
         done += batch
     p_hat = hits / samples
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
+    if hits == 0:
+        stderr = 1.0 / (samples + 1)
+    else:
+        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
     return McEstimate(estimate=float(p_hat), stderr=stderr, samples=samples, seed=seed)

@@ -45,7 +45,8 @@ def default_precision_bits(n):
     return max(256, 48 * int(n))
 
 
-def _wrap_phase(p):
+def wrap_phase(p):
+    """A phase in radians mapped to (-pi, pi]."""
     w = (p + np.pi) % (2.0 * np.pi) - np.pi
     return w + 2.0 * np.pi if w <= -np.pi else w
 
@@ -71,8 +72,10 @@ class WeightSpec:
 
     @property
     def is_positive(self):
-        """True when the weight is a positive function (real alpha, beta=0)."""
-        return all(s.alpha.imag == 0.0 and s.beta == 0.0 for s in self.cfg)
+        """True when the weight is a positive function: every alpha real and
+        every beta purely imaginary, so each jump factor e^{+-i pi beta} is a
+        positive constant (this covers every thinning weight)."""
+        return all(s.alpha.imag == 0.0 and s.beta.real == 0.0 for s in self.cfg)
 
 
 @dataclass(frozen=True)
@@ -237,6 +240,8 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
     cap is hit first. With keep_nodes=True also returns the converged
     discrete measure [(x_i, q_i, w(x_i))].
     """
+    if precision_bits < 128:
+        raise DomainError("precision_bits must be >= 128")
     if count < 1:
         raise DomainError("need count >= 1")
     n_mom = 2 * count - 1
@@ -313,8 +318,6 @@ def compute_moments(ws, count, precision_bits):
     precision_bits must be at least 128; the working precision carries an
     extra guard of 64 bits.
     """
-    if precision_bits < 128:
-        raise DomainError("precision_bits must be >= 128")
     moments, _ = _quadrature(ws, count, precision_bits)
     return moments
 
@@ -383,7 +386,7 @@ def hankel_log_det(moments, k, precision_bits):
     converged = half_log_abs is not None and abs(float(log_abs - half_log_abs)) <= 1e-8
     return HankelResult(
         log_abs=float(log_abs),
-        phase=_wrap_phase(float(phase)),
+        phase=wrap_phase(float(phase)),
         n=k,
         precision_bits=precision_bits,
         method=MOMENT_DETERMINANT,
@@ -403,14 +406,15 @@ def oracle_log_det(ws, precision_bits=None):
 def op_recurrence_log_det(ws, precision_bits=None):
     """log D_n as the product of squared norms from the Stieltjes procedure.
 
-    Restricted to positive weights (all alpha real, all beta zero), where
-    the discretised three-term recurrence is numerically stable. Serves as
-    an independent cross-check of the moment-determinant path.
+    Restricted to positive weights (all alpha real, all beta purely
+    imaginary), where the discretised three-term recurrence is numerically
+    stable. Serves as an independent cross-check of the moment-determinant
+    path.
     """
     if not ws.is_positive:
         raise PositivityError(
             "orthogonal-polynomial recurrence requires a positive weight "
-            "(real alpha, beta = 0)"
+            "(real alpha, purely imaginary beta)"
         )
     pb = default_precision_bits(ws.n) if precision_bits is None else precision_bits
     _, nodes = _quadrature(ws, ws.n, pb, keep_nodes=True)
@@ -464,4 +468,4 @@ def log_det_ratio(ws_num, ws_den, precision_bits=None):
         raise ZeroDeterminantError("denominator Hankel determinant vanishes")
     if num.is_zero:
         return complex(float("-inf"), 0.0)
-    return complex(num.log_abs - den.log_abs, _wrap_phase(num.phase - den.phase))
+    return complex(num.log_abs - den.log_abs, wrap_phase(num.phase - den.phase))

@@ -10,7 +10,7 @@ endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -125,19 +125,6 @@ class SingularityConfig:
             ),
             min_separation=self.min_separation,
         )
-
-
-def empty_config():
-    return SingularityConfig(())
-
-
-class FieldW(ChebSeries):
-    """External field W restricted to [-1, 1]: a real Chebyshev series."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.iscomplexobj(self.coeffs):
-            raise DomainError("FieldW coefficients must be real")
 
 
 def as_field(W) -> ChebSeries:

@@ -27,12 +27,7 @@ import numpy as np
 
 from .asymptotics import predict_log_hankel
 from .errors import HypothesisError
-from .singularities import (
-    Singularity,
-    SingularityConfig,
-    ThinningSpec,
-    as_field,
-)
+from .singularities import Singularity, SingularityConfig, ThinningSpec
 
 TWO_PI_I = 2j * np.pi
 
@@ -139,9 +134,3 @@ def correlation_log(V, measure, W, cfg, base_betas, n) -> CorrelationPrediction:
     scale = max(pred_num.error_scale, pred_den.error_scale)
     return CorrelationPrediction(value=complex(value), error_scale=float(scale))
 
-
-def mc_reference(spec, n, samples, seed):
-    """Convenience re-export of the Monte Carlo estimator."""
-    from .montecarlo import mc_gap_probability
-
-    return mc_gap_probability(spec, n, samples, seed)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import hankelfh as hf
@@ -30,8 +29,3 @@ def quartic_problem():
     rescaled = hf.rescale(hf.Potential([0, 0, 2.0, 0, 0.3]), -half_width, half_width)
     measure = hf.equilibrium_measure(rescaled.V)
     return rescaled, measure
-
-
-def wrap_phase(p):
-    w = (p + np.pi) % (2.0 * np.pi) - np.pi
-    return w + 2.0 * np.pi if w <= -np.pi else w

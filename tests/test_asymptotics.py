@@ -22,6 +22,10 @@ def cfg_of(*sings):
     return hf.SingularityConfig(tuple(sings))
 
 
+def constants(V, measure, W=None, cfg=None):
+    return hf.expansion_coefficients(V, measure, W, cfg or cfg_of())
+
+
 # ------------------------------------------------------------- GUE reduction
 
 
@@ -35,7 +39,7 @@ def test_gue_reduction_constants(gue_potential, gue_measure):
 
 
 def test_c1_gue(gue_potential, gue_measure):
-    assert abs(hf.compute_C1(gue_potential, gue_measure) - (-LOG2 - 0.75)) < 1e-14
+    assert abs(constants(gue_potential, gue_measure).C1 - (-LOG2 - 0.75)) < 1e-14
 
 
 def _odd_perturbed(eps):
@@ -52,9 +56,9 @@ def test_c1_odd_perturbation_enters_at_second_order():
     # symmetry; only the quadratic cross term with the induced odd density
     # survives, so C1(eps) - C1(0) must scale as eps^2
     base_V, base_m = _odd_perturbed(0.0)
-    base = hf.compute_C1(base_V, base_m)
-    r1 = hf.compute_C1(*_odd_perturbed(0.1)) - base
-    r2 = hf.compute_C1(*_odd_perturbed(0.05)) - base
+    base = constants(base_V, base_m).C1
+    r1 = constants(*_odd_perturbed(0.1)).C1 - base
+    r2 = constants(*_odd_perturbed(0.05)).C1 - base
     assert abs(r1) < 1e-3
     assert abs(r1 / r2 - 4.0) < 0.05
 
@@ -79,22 +83,22 @@ def test_c1_quartic_against_quadrature(quartic_problem):
 
     oracle, _ = quad(integrand, -1, 1, limit=200)
     expected = -LOG2 - 0.75 - 0.5 * oracle
-    assert abs(hf.compute_C1(V, measure) - expected) < 1e-11
+    assert abs(constants(V, measure).C1 - expected) < 1e-11
 
 
 # ------------------------------------------------------------------------- C2
 
 
 def test_c2_gue_plain(gue_potential, gue_measure):
-    c2 = hf.compute_C2(gue_potential, gue_measure, None, cfg_of())
+    c2 = constants(gue_potential, gue_measure).C2
     assert abs(c2 - np.log(2 * np.pi)) < 1e-14
 
 
 def test_c2_single_jump_closed_form(gue_potential, gue_measure):
     t, beta = 0.35, 0.08j
-    c2 = hf.compute_C2(
+    c2 = constants(
         gue_potential, gue_measure, None, cfg_of(hf.Singularity(t, 0.0, beta))
-    )
+    ).C2
     expected = np.log(2 * np.pi) + 2j * beta * (
         np.arcsin(t) + t * np.sqrt(1 - t * t)
     )
@@ -103,21 +107,22 @@ def test_c2_single_jump_closed_form(gue_potential, gue_measure):
 
 def test_c2_constant_field_adds_its_value(gue_potential, gue_measure):
     c = 0.37
-    c2 = hf.compute_C2(
-        gue_potential, gue_measure, ChebSeries([c]), cfg_of()
-    )
+    c2 = constants(gue_potential, gue_measure, ChebSeries([c])).C2
     assert abs(c2 - (np.log(2 * np.pi) + c)) < 1e-14
 
 
 # ------------------------------------------------------------------------- C3
 
 
-def test_c3_values():
-    assert abs(hf.compute_C3(cfg_of()) - (-1 / 12)) < 1e-15
-    c3 = hf.compute_C3(cfg_of(hf.Singularity(0.1, 1.0, 0.0)))
+def test_c3_values(gue_potential, gue_measure):
+    def c3_of(*sings):
+        return constants(gue_potential, gue_measure, None, cfg_of(*sings)).C3
+
+    assert abs(c3_of() - (-1 / 12)) < 1e-15
+    c3 = c3_of(hf.Singularity(0.1, 1.0, 0.0))
     assert abs(c3 - (-1 / 12 + 0.25)) < 1e-15
     y = 0.13
-    c3 = hf.compute_C3(cfg_of(hf.Singularity(0.1, 0.0, 1j * y)))
+    c3 = c3_of(hf.Singularity(0.1, 0.0, 1j * y))
     assert abs(c3 - (-1 / 12 + y * y)) < 1e-15
 
 
@@ -125,7 +130,7 @@ def test_c3_values():
 
 
 def test_c4_gue_plain(gue_potential, gue_measure):
-    c4 = hf.compute_C4(gue_potential, gue_measure, None, cfg_of())
+    c4 = constants(gue_potential, gue_measure).C4
     assert abs(c4 - hf.zeta_prime_minus_one()) < 1e-14
 
 
@@ -133,9 +138,9 @@ def test_c4_root_singularity_collapse(gue_potential, gue_measure):
     # beta = 0, Gaussian potential: only the Barnes factor and the half-width
     # term survive (log(pi psi / 2) = 0 for psi = 2/pi)
     t, alpha = 0.4, 0.9
-    c4 = hf.compute_C4(
+    c4 = constants(
         gue_potential, gue_measure, None, cfg_of(hf.Singularity(t, alpha, 0.0))
-    )
+    ).C4
     expected = (
         hf.zeta_prime_minus_one()
         + 2 * hf.log_barnes_g(1 + alpha / 2)

@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from hankelfh.cli import ExperimentConfig, main, parse_config
@@ -39,7 +41,7 @@ def test_parse_config_round_trip():
             "seed": 7,
         }
     )
-    again = parse_config(cfg.to_dict())
+    again = parse_config(asdict(cfg))
     assert again == cfg
 
 
@@ -52,6 +54,12 @@ def test_parse_config_field_precise_errors():
         parse_config({"potential": [0, 0, 2.0], "bogus": 1})
     with pytest.raises(Exception, match="singularities"):
         parse_config({"potential": [0, 0, 2.0], "singularities": [{"x": 1}]})
+    with pytest.raises(Exception, match="thinning_boundaries"):
+        parse_config({"potential": [0, 0, 2.0], "thinning_boundaries": 0.5})
+    with pytest.raises(Exception, match="thinning_sectors"):
+        parse_config({"potential": [0, 0, 2.0], "thinning_sectors": ["a"]})
+    with pytest.raises(Exception, match="thinning_s"):
+        parse_config({"potential": [0, 0, 2.0], "thinning_s": "0.5"})
 
 
 def test_emitted_json_config_reparses(tmp_path, capsys):
@@ -149,6 +157,36 @@ def test_compare_joins_and_fits(capsys, tmp_path):
     assert blob["summary"]["theoretical_exponent"] == 1.0
     for row in blob["rows"]:
         assert row["residual"]["log_abs"] < 0.5
+
+
+def test_rescaled_support_matches_hand_rescaled_problem(capsys, tmp_path):
+    # V~(y) = y^2/2, W~(y) = 0.3 y, t~ = 1 on [-2, 2] is V = 2x^2,
+    # W = 0.6 x, t = 0.5 on [-1, 1], plus (n^2 + nA) log 2 in log D_n
+    sing = {"t": 1.0, "alpha_re": 0.5, "alpha_im": -0.2}
+    original = {"potential": [0, 0, 0.5], "support": [-2, 2],
+                "field_poly": [0, 0.3], "singularities": [sing], "n_list": [3, 5]}
+    by_hand = {"potential": [0, 0, 2.0], "field_poly": [0, 0.6],
+               "singularities": [dict(sing, t=0.5)], "n_list": [3, 5]}
+    for command in ("predict", "oracle"):
+        rows = {}
+        for name, data in (("original", original), ("by_hand", by_hand)):
+            if command == "oracle":
+                data = dict(data, n_list=[3], precision_bits=128)
+            path = write_config(tmp_path, data, name=f"{name}.json")
+            code, out, _ = run_cli(capsys, command, "--config", path)
+            assert code == 0
+            rows[name] = json.loads(out)["rows"]
+        for got, ref in zip(rows["original"], rows["by_hand"]):
+            n = got["n"]
+            corr = (n * n + n * complex(0.5, -0.2)) * np.log(2.0)
+            assert abs(got["log_abs"] - ref["log_abs"] - corr.real) < 1e-10
+            dphase = got["phase"] - ref["phase"] - corr.imag
+            assert abs((dphase + np.pi) % (2 * np.pi) - np.pi) < 1e-10
+            rc = got["rescale_correction"]
+            assert abs(complex(rc["re"], rc["im"]) - corr) < 1e-12
+            assert ref["rescale_correction"] == {"re": 0.0, "im": 0.0}
+            if command == "predict":
+                assert got["terms"] == ref["terms"]
 
 
 def test_compare_single_n_no_fit(capsys, tmp_path):
@@ -262,14 +300,6 @@ def test_flag_overrides(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "predict", "--config", path, "--n", "2")
     assert code == 0
     assert [r["n"] for r in json.loads(out)["rows"]] == [2]
-
-
-def test_precision_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HANKEL_FH_PRECISION", "256")
-    path = write_config(tmp_path, {"potential": [0, 0, 2.0], "n_list": [3]})
-    code, out, _ = run_cli(capsys, "oracle", "--config", path)
-    assert code == 0
-    assert json.loads(out)["rows"][0]["precision_bits"] == 256
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

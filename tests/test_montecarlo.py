@@ -56,6 +56,16 @@ def test_interior_sector_identity(gue_potential):
     assert abs(est.estimate - exact) < 3.0 * est.stderr
 
 
+def test_zero_hits_report_a_nonzero_stderr(gue_potential, gue_measure):
+    # at n=30 the gap probability is about 3.3e-5: no sample hits the gap
+    spec = hf.ThinningSpec((0.0,), {1: 0.5})
+    est = hf.mc_gap_probability(spec, 30, 20_000, seed=7)
+    assert est.estimate == 0.0
+    assert est.stderr > 0.0
+    pred = np.exp(hf.gap_probability_log(gue_potential, gue_measure, spec, 30).value)
+    assert abs(est.estimate - pred) < 3.0 * est.stderr
+
+
 def test_validation():
     spec = hf.ThinningSpec((0.0,), {1: 0.5})
     with pytest.raises(DomainError):

@@ -61,6 +61,8 @@ def test_moment_with_root_singularity_at_origin():
 def test_moments_precision_validation():
     with pytest.raises(DomainError):
         hf.compute_moments(gue_weight(1), 2, 64)
+    with pytest.raises(DomainError):
+        hf.op_recurrence_log_det(gue_weight(1), 64)
 
 
 # ------------------------------------------------------------ hankel_log_det
@@ -128,7 +130,8 @@ def test_method_agreement_moderate_n():
 
 
 def test_recurrence_requires_positive_weight():
-    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1j),))
+    # a real beta makes the jump factor e^{+-i pi beta} complex
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1),))
     with pytest.raises(PositivityError):
         hf.op_recurrence_log_det(
             hf.WeightSpec(hf.Potential.gue(), None, cfg, 3), 256
@@ -168,11 +171,15 @@ def test_weight_scaling_covariance():
 
 
 def test_jump_weight_with_imaginary_beta_is_positive():
-    # purely imaginary jump exponents give a positive weight: phase 0
+    # purely imaginary jump exponents (every thinning weight) give a positive
+    # weight: phase 0, and the recurrence route applies
     cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.0, 0.1j),))
     ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 4)
+    assert ws.is_positive
     res = hf.oracle_log_det(ws, 256)
     assert res.phase == 0.0
+    rec = hf.op_recurrence_log_det(ws, 256)
+    assert abs(res.log_abs - rec.log_abs) < 1e-10
 
 
 def test_complex_alpha_gives_complex_determinant():
