@@ -8,10 +8,11 @@ oracle      exact extended-precision log-determinants per n
 compare     prediction vs oracle with residual decay fit
 thinning    thinned-spectrum gap probabilities (optional Monte Carlo)
 
-Configuration is a flat JSON object (see CONFIG_KEYS); command-line flags
-override file values. Complex numbers are serialised as {"re":, "im":} and
-phases are radians in (-pi, pi]. Exit codes: 0 success, 2 invalid or
-hypothesis-violating input, 3 numerical non-convergence.
+Configuration is a flat JSON object whose keys are declared on the fields of
+ExperimentConfig; command-line flags override file values. Complex numbers
+are serialised as {"re":, "im":} and phases are radians in (-pi, pi]. Exit
+codes: 0 success, 2 invalid or hypothesis-violating input, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,46 +33,106 @@ from .chebyshev import ChebSeries
 from .equilibrium import Potential, RescaledProblem, equilibrium_measure, rescale
 from .errors import ConvergenceError, HankelFHError, RegularityError
 from .montecarlo import mc_gap_probability
-from .oracle import WeightSpec, default_precision_bits, oracle_log_det, wrap_phase
+from .oracle import WeightSpec, oracle_log_det, wrap_phase
 from .singularities import Singularity, SingularityConfig, ThinningSpec
 from .thinning import gap_probability_log, thinning_to_betas
 
-CONFIG_KEYS = {
-    "potential": "ascending monomial coefficients of V (required)",
-    "support": "[a, b] original support when not [-1, 1] (optional)",
-    "field_cheb": "Chebyshev coefficients of W on the support (optional)",
-    "field_poly": "monomial coefficients of W on the support (optional)",
-    "singularities": "list of {t, alpha_re, alpha_im, beta_re, beta_im}",
-    "n_list": "matrix sizes to evaluate",
-    "precision_bits": "oracle working precision (optional)",
-    "output_format": "json or csv",
-    "seed": "RNG seed for Monte Carlo",
-    "mc_samples": "Monte Carlo sample count (0 disables)",
-    "thinning_boundaries": "sector boundaries t_1 < ... < t_m",
-    "thinning_sectors": "1-based indices of thinned sectors",
-    "thinning_s": "removal probabilities, one per thinned sector",
-}
+_SINGULARITY_FIELDS = ("t", "alpha_re", "alpha_im", "beta_re", "beta_im")
 
 
 class ConfigError(HankelFHError, ValueError):
     pass
 
 
+def _is_number(v):
+    """A finite JSON number that float() can hold; true/false are not numbers."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(check, min_len=0):
+    return lambda v: isinstance(v, list) and len(v) >= min_len and all(map(check, v))
+
+
+def _is_singularity(e):
+    return (
+        isinstance(e, dict)
+        and "t" in e
+        and set(e) <= set(_SINGULARITY_FIELDS)
+        and all(map(_is_number, e.values()))
+    )
+
+
+def _floats(v):
+    return [float(x) for x in v]
+
+
+def _key(check, valid, convert, **default):
+    """Declare a config key on its ExperimentConfig field.
+
+    ``check`` tests the JSON value, ``valid`` says in the error what a valid
+    value is, ``convert`` makes the field's value from it, and ``default`` is
+    the field's default or default_factory (without one the key is required).
+    """
+    meta = {"check": check, "valid": valid, "convert": convert}
+    return field(metadata=meta, **default)
+
+
+def _numbers_key():
+    return _key(
+        _list_of(_is_number), "a list of numbers", _floats, default_factory=list
+    )
+
+
+def _count_key():
+    return _key(
+        lambda v: _is_int(v) and v >= 0, "a non-negative integer", int, default=0
+    )
+
+
 @dataclass
 class ExperimentConfig:
-    potential: list
-    support: list = field(default_factory=lambda: [-1.0, 1.0])
-    field_cheb: list = field(default_factory=list)
-    field_poly: list = field(default_factory=list)
-    singularities: list = field(default_factory=list)
-    n_list: list = field(default_factory=list)
-    precision_bits: int = 0
-    output_format: str = "json"
-    seed: int = 0
-    mc_samples: int = 0
-    thinning_boundaries: list = field(default_factory=list)
-    thinning_sectors: list = field(default_factory=list)
-    thinning_s: list = field(default_factory=list)
+    """The flat JSON config; each field declares one key, in check order."""
+
+    potential: list = _key(
+        _list_of(_is_number, 3), "a list of at least 3 numbers", _floats
+    )
+    support: list = _key(
+        lambda v: _list_of(_is_number)(v) and len(v) == 2 and v[0] < v[1],
+        "[a, b] with numbers a < b", _floats, default_factory=lambda: [-1.0, 1.0],
+    )
+    field_cheb: list = _numbers_key()
+    field_poly: list = _numbers_key()
+    singularities: list = _key(
+        _list_of(_is_singularity),
+        "a list of objects with a number 't' and optional numbers "
+        "'alpha_re', 'alpha_im', 'beta_re', 'beta_im'",
+        lambda v: [{k: float(e.get(k, 0.0)) for k in _SINGULARITY_FIELDS} for e in v],
+        default_factory=list,
+    )
+    n_list: list = _key(
+        _list_of(lambda x: _is_int(x) and x >= 1), "a list of integers >= 1",
+        lambda v: sorted(set(v)), default_factory=list,
+    )
+    precision_bits: int = _count_key()
+    output_format: str = _key(
+        lambda v: v in ("json", "csv"), "'json' or 'csv'", str, default="json"
+    )
+    seed: int = _count_key()
+    mc_samples: int = _count_key()
+    thinning_boundaries: list = _numbers_key()
+    thinning_sectors: list = _key(
+        lambda v: _list_of(_is_int)(v) and len(set(v)) == len(v),
+        "a list of distinct integer sector indices", list, default_factory=list,
+    )
+    thinning_s: list = _numbers_key()
 
 
 def _require(cond, key, message):
@@ -79,102 +140,31 @@ def _require(cond, key, message):
         raise ConfigError(f"config key '{key}': {message}")
 
 
-def _float_list(data, key):
-    vals = data[key]
-    _require(
-        isinstance(vals, list) and all(isinstance(v, (int, float)) for v in vals),
-        key,
-        "needs a numeric list",
-    )
-    return [float(v) for v in vals]
-
-
 def parse_config(data) -> ExperimentConfig:
-    """Validate a flat config mapping with field-precise errors."""
+    """Check and convert a flat config mapping, key by key in declaration
+    order, with errors that name the key."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - set(CONFIG_KEYS)
+    keys = fields(ExperimentConfig)
+    unknown = set(data) - {k.name for k in keys}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(potential=[])
-    _require("potential" in data, "potential", "required")
-    pot = data["potential"]
-    _require(
-        isinstance(pot, list) and len(pot) >= 3 and all(
-            isinstance(v, (int, float)) for v in pot
-        ),
-        "potential",
-        "needs a numeric coefficient list of length >= 3",
-    )
-    cfg.potential = [float(v) for v in pot]
-    if "support" in data:
-        sup = data["support"]
-        _require(
-            isinstance(sup, list) and len(sup) == 2 and sup[0] < sup[1],
-            "support",
-            "needs [a, b] with a < b",
-        )
-        cfg.support = [float(sup[0]), float(sup[1])]
-    for key in ("field_cheb", "field_poly"):
-        if key in data:
-            setattr(cfg, key, _float_list(data, key))
+    values = {}
+    for key in keys:
+        spec = key.metadata
+        if key.name in data:
+            value = data[key.name]
+            _require(spec["check"](value), key.name, f"needs {spec['valid']}")
+            values[key.name] = spec["convert"](value)
+        else:
+            required = key.default is MISSING and key.default_factory is MISSING
+            _require(not required, key.name, "required")
+    cfg = ExperimentConfig(**values)
     _require(
         not (cfg.field_cheb and cfg.field_poly),
         "field_poly",
         "give the field as Chebyshev or monomial coefficients, not both",
     )
-    if "singularities" in data:
-        sings = data["singularities"]
-        _require(isinstance(sings, list), "singularities", "needs a list")
-        parsed = []
-        for i, entry in enumerate(sings):
-            _require(
-                isinstance(entry, dict) and "t" in entry,
-                "singularities",
-                f"entry {i} needs at least a 't' field",
-            )
-            allowed = {"t", "alpha_re", "alpha_im", "beta_re", "beta_im"}
-            _require(
-                set(entry) <= allowed,
-                "singularities",
-                f"entry {i} has unknown fields {sorted(set(entry) - allowed)}",
-            )
-            parsed.append({k: float(entry.get(k, 0.0)) for k in allowed})
-        cfg.singularities = parsed
-    if "n_list" in data:
-        ns = data["n_list"]
-        _require(
-            isinstance(ns, list)
-            and all(isinstance(v, int) and v >= 1 for v in ns),
-            "n_list",
-            "needs a list of integers >= 1",
-        )
-        cfg.n_list = sorted(set(ns))
-    for key, typ in (
-        ("precision_bits", int),
-        ("seed", int),
-        ("mc_samples", int),
-    ):
-        if key in data:
-            _require(isinstance(data[key], int) and data[key] >= 0, key,
-                     "needs a non-negative integer")
-            setattr(cfg, key, typ(data[key]))
-    if "output_format" in data:
-        _require(data["output_format"] in ("json", "csv"), "output_format",
-                 "must be 'json' or 'csv'")
-        cfg.output_format = data["output_format"]
-    if "thinning_boundaries" in data:
-        cfg.thinning_boundaries = _float_list(data, "thinning_boundaries")
-    if "thinning_sectors" in data:
-        sectors = data["thinning_sectors"]
-        _require(
-            isinstance(sectors, list) and all(isinstance(v, int) for v in sectors),
-            "thinning_sectors",
-            "needs a list of integer sector indices",
-        )
-        cfg.thinning_sectors = list(sectors)
-    if "thinning_s" in data:
-        cfg.thinning_s = _float_list(data, "thinning_s")
     _require(
         len(cfg.thinning_sectors) == len(cfg.thinning_s),
         "thinning_s",
@@ -313,7 +303,7 @@ def _oracle_row(ws: WeightSpec, precision_bits):
 
 def _run_oracle_rows(cfg: ExperimentConfig, prob: _Problem):
     weights = [WeightSpec(prob.V, prob.W, prob.cfg, n) for n in cfg.n_list]
-    bits = [cfg.precision_bits or default_precision_bits(n) for n in cfg.n_list]
+    bits = [cfg.precision_bits or None] * len(weights)  # None: the oracle's default
     rows = None
     if len(weights) > 1:
         try:
@@ -503,20 +493,22 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}:{exc.lineno}: {exc.msg}")
+    flags = {}
     if args.n:
         try:
-            data["n_list"] = [int(v) for v in args.n.split(",") if v]
+            flags["n_list"] = [int(v) for v in args.n.split(",") if v]
         except ValueError:
             raise ConfigError("--n needs a comma-separated integer list")
     if args.precision is not None:
-        data["precision_bits"] = args.precision
+        flags["precision_bits"] = args.precision
     if args.format:
-        data["output_format"] = args.format
+        flags["output_format"] = args.format
     if args.seed is not None:
-        data["seed"] = args.seed
+        flags["seed"] = args.seed
     if args.mc_samples is not None:
-        data["mc_samples"] = args.mc_samples
-    data.setdefault("potential", [0.0, 0.0, 2.0])
+        flags["mc_samples"] = args.mc_samples
+    if isinstance(data, dict):  # anything else is parse_config's error
+        data = {"potential": [0.0, 0.0, 2.0], **data, **flags}
     return parse_config(data)
 
 

@@ -61,7 +61,7 @@ class SeparationError(HypothesisError):
 
 class PositivityError(HankelFHError):
     """The orthogonal-polynomial recurrence path requires a positive weight
-    (all alpha real, all beta zero)."""
+    (all alpha real, all beta purely imaginary)."""
 
 
 class ConvergenceError(HankelFHError):

@@ -238,7 +238,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
     relative to its absolute-value integral (the scale at which the
     determinant feels cancellation). Raises ConvergenceError if the level
     cap is hit first. With keep_nodes=True also returns the converged
-    discrete measure [(x_i, q_i, w(x_i))].
+    discrete measure as node and weighted-value lists (x_i, q_i w(x_i)).
     """
     if precision_bits < 128:
         raise DomainError("precision_bits must be >= 128")
@@ -260,7 +260,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
         zero = mp.mpc(0) if complex_weight else mp.mpf(0)
         sums = [zero] * n_mom
         abs_sums = [mp.mpf(0)] * n_mom
-        node_store = [] if keep_nodes else None
+        xs, ds = [], []
 
         def add_nodes(level, only_odd):
             std = _tanh_sinh_nodes(level, only_odd, workprec)
@@ -271,6 +271,9 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                     q = half * w
                     pw = q * fv
                     apw = q * abs(fv)
+                    if keep_nodes:
+                        xs.append(x)
+                        ds.append(pw)
                     ax = abs(x)
                     for jm in range(n_mom):
                         sums[jm] += pw
@@ -278,8 +281,6 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                         if jm < n_mom - 1:
                             pw = pw * x
                             apw = apw * ax
-                    if keep_nodes:
-                        node_store.append((x, q, fv))
 
         rel_tol = mp.mpf(2) ** (-(precision_bits + 16))
         add_nodes(_START_LEVEL, only_odd=False)
@@ -308,7 +309,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
             prev = cur
 
         if keep_nodes:
-            return cur, [(x, q * h, fv) for (x, q, fv) in node_store]
+            return cur, (xs, [h * d for d in ds])
         return cur, None
 
 
@@ -333,17 +334,11 @@ def hankel_log_det(moments, k, precision_bits):
     """
     if len(moments) < 2 * k - 1:
         raise DomainError(f"need {2 * k - 1} moments for a {k}x{k} determinant")
-    real_input = all(
-        getattr(m, "imag", mp.mpf(0)) == 0 or isinstance(m, mp.mpf) for m in moments
-    )
 
     def factor(prec):
         with mp.workprec(prec):
-            if real_input:
-                a = [[mp.mpf(moments[i + j].real if isinstance(moments[i + j], mp.mpc)
-                             else moments[i + j]) for j in range(k)] for i in range(k)]
-            else:
-                a = [[mp.mpc(moments[i + j]) for j in range(k)] for i in range(k)]
+            # unary + rounds each moment to the working precision
+            a = [[+mp.mpmathify(moments[i + j]) for j in range(k)] for i in range(k)]
             log_abs = mp.mpf(0)
             phase = mp.mpf(0)
             swaps = 0
@@ -356,9 +351,7 @@ def hankel_log_det(moments, k, precision_bits):
                     a[piv_row], a[col] = a[col], a[piv_row]
                     swaps += 1
                 log_abs += mp.log(abs(piv))
-                phase += mp.arg(piv) if not real_input else (
-                    mp.mpf(0) if piv > 0 else mp.pi
-                )
+                phase += mp.arg(piv)  # 0 or pi for a real pivot
                 for r in range(col + 1, k):
                     fac = a[r][col] / piv
                     if fac == 0:
@@ -417,11 +410,9 @@ def op_recurrence_log_det(ws, precision_bits=None):
             "(real alpha, purely imaginary beta)"
         )
     pb = default_precision_bits(ws.n) if precision_bits is None else precision_bits
-    _, nodes = _quadrature(ws, ws.n, pb, keep_nodes=True)
+    _, (xs, ds) = _quadrature(ws, ws.n, pb, keep_nodes=True)
     n = ws.n
     with mp.workprec(pb + _GUARD_BITS):
-        xs = [x for (x, _, _) in nodes]
-        ds = [q * fv for (_, q, fv) in nodes]
         p_prev = [mp.mpf(0)] * len(xs)
         p_cur = [mp.mpf(1)] * len(xs)
         log_det = mp.mpf(0)

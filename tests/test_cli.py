@@ -1,14 +1,17 @@
 """CLI: config parsing, round-trips, determinism, exit codes, formats."""
 
 import json
+import math
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hankelfh.cli import ExperimentConfig, main, parse_config
+from hankelfh.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +48,18 @@ def test_parse_config_round_trip():
     assert again == cfg
 
 
+# values that were read unchecked: tracebacks, errors naming no key, or
+# silently accepted (n_list [true]; a repeated sector kept its last s only)
+UNCHECKED_BEFORE = [
+    ("support", ["a", 1]),
+    ("support", [-1, float("inf")]),
+    ("singularities", [{"t": 0.1, "alpha_re": None}]),
+    ("singularities", [{"t": "x"}]),
+    ("n_list", [True]),
+    ("thinning_sectors", [1, 1]),
+]
+
+
 def test_parse_config_field_precise_errors():
     with pytest.raises(Exception, match="potential"):
         parse_config({"potential": [1.0]})
@@ -60,6 +75,82 @@ def test_parse_config_field_precise_errors():
         parse_config({"potential": [0, 0, 2.0], "thinning_sectors": ["a"]})
     with pytest.raises(Exception, match="thinning_s"):
         parse_config({"potential": [0, 0, 2.0], "thinning_s": "0.5"})
+    for key, value in UNCHECKED_BEFORE:
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config({"potential": [0, 0, 2.0], key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    UNCHECKED_BEFORE,
+    ids=["support-text", "support-inf", "alpha-null", "t-text", "n_list-true",
+         "sectors-repeated"],
+)
+def test_unchecked_inputs_exit_2_naming_the_key(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, {key: value})
+    code, out, err = run_cli(capsys, "predict", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert f"config key '{key}'" in err
+
+
+NUMBER_LIKE = (
+    st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+SCALARS = st.none() | st.text(max_size=4) | NUMBER_LIKE
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# arbitrary JSON values plus near-valid shapes: lists of scalars, lists of
+# number-like values, and lists of singularity-like entries
+SINGULARITY_LIKE = st.fixed_dictionaries(
+    {"t": SCALARS}, optional={"alpha_re": SCALARS, "beta_im": SCALARS, "x": SCALARS}
+)
+CONFIG_VALUES = (
+    JSON_VALUES
+    | st.lists(SCALARS, max_size=4)
+    | st.lists(NUMBER_LIKE, max_size=4)
+    | st.lists(SINGULARITY_LIKE, max_size=3)
+)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+@settings(max_examples=50, deadline=None)
+@given(value=CONFIG_VALUES)
+def test_parse_config_returns_or_names_the_key(key, value):
+    data = {"potential": [0, 0, 2.0], key: value}
+    try:
+        cfg = parse_config(data)
+    except ConfigError as exc:
+        message = str(exc)
+        assert (
+            f"config key '{key}'" in message
+            or "not both" in message  # field_cheb with field_poly
+            or "one removal probability per thinned sector" in message
+        ), message
+    else:
+        # an accepted value holds no booleans, NaN or infinities, in or out
+        for leaf in [*json_leaves(value), *json_leaves(asdict(cfg))]:
+            assert type(leaf) in (str, int) or (
+                type(leaf) is float and math.isfinite(leaf)
+            ), leaf
+        assert parse_config(asdict(cfg)) == cfg
+
+
+def json_leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from json_leaves(item)
+    else:
+        yield value
 
 
 def test_emitted_json_config_reparses(tmp_path, capsys):
@@ -304,10 +395,11 @@ def test_flag_overrides(capsys, tmp_path):
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "predict", "--config", str(bad))
-    assert code == 2
-    assert "bad.json" in err
+    for text, cause in (("{not json", "bad.json"), ("[1, 2]", "JSON object")):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "predict", "--config", str(bad), "--n", "3")
+        assert code == 2
+        assert cause in err
 
 
 def test_console_entry_point():
