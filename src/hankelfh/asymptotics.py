@@ -19,6 +19,7 @@ coefficient-level sum reproduces (C1, C2, C3, C4) - a key consistency test.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,13 @@ def expansion_coefficients(V, measure, W, cfg):
 
     c3 = {"gaussian": complex(-1.0 / 12.0)}
     for idx, s in enumerate(cfg, start=1):
-        c3[f"sing_{idx}"] = complex(0.25 * s.alpha ** 2 - s.beta ** 2)
+        try:
+            c3[f"sing_{idx}"] = complex(0.25 * s.alpha ** 2 - s.beta ** 2)
+        except OverflowError:
+            raise DomainError(
+                f"singularity {idx}: alpha^2/4 - beta^2 overflows a float "
+                f"(alpha = {s.alpha}, beta = {s.beta})"
+            ) from None
 
     w_half, _ = cheb_weighted_integrals(W)
     psi_p1 = float(np.real(psi(1.0)))
@@ -197,6 +204,18 @@ def expansion_coefficients(V, measure, W, cfg):
 
     breakdown = {"C1": c1, "C2": c2, "C3": c3, "C4": c4}
     totals = {name: sum(terms.values()) for name, terms in breakdown.items()}
+    overflowed = [name for name, total in totals.items() if not cmath.isfinite(total)]
+    if overflowed:
+        terms = [
+            f"{name}.{term}"
+            for name in overflowed
+            for term, value in breakdown[name].items()
+            if not cmath.isfinite(value)
+        ]
+        raise DomainError(
+            f"expansion terms {', '.join(terms or overflowed)} are not finite: "
+            "a singularity's alpha or beta is too large for float arithmetic"
+        )
     return ExpansionCoefficients(
         C1=totals["C1"],
         C2=totals["C2"],

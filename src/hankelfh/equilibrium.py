@@ -290,12 +290,20 @@ def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    if not np.isfinite(half):
+        raise DomainError(f"support [{a}, {b}] is too wide: (b - a)/2 overflows a float")
     for tt in t_tilde:
         if not a < tt < b:
             raise DomainError(f"singularity location {tt} outside ({a}, {b})")
 
     affine = nppoly.Polynomial([mid, half])
-    composed = nppoly.Polynomial(V_tilde.coeffs)(affine)
+    with np.errstate(over="ignore", invalid="ignore"):
+        composed = nppoly.Polynomial(V_tilde.coeffs)(affine)
+    if not np.all(np.isfinite(composed.coef)):
+        raise DomainError(
+            f"support [{a}, {b}] is too wide: the potential rescaled to "
+            "[-1, 1] has coefficients that overflow a float"
+        )
     V = Potential(composed.coef, support=(float(a), float(b)))
 
     W = None

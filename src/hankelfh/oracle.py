@@ -5,7 +5,22 @@ panel-wise tanh-sinh quadrature, the panels split at every singularity
 location so that the algebraic factors |x - t_j|^{alpha_j} sit at panel
 endpoints where the doubly-exponential transform absorbs them for any
 Re(alpha) > -1. Tails are truncated where the integrand falls below the
-precision floor. Determinants come from a pivoted triangular factorisation
+precision floor; at a panel end with Re(alpha) < 0 the node enumeration runs
+correspondingly further (_floor_bits).
+
+The moment sums are Python integers in fixed point with G fractional bits:
+per node, q |w(x)| and |x| are truncated to integers once and x^j q |w(x)|
+follows by integer multiply and shift. G comes from a written bound
+(_fraction_bits): the truncation error, amplified by X^j through that
+recursion, must stay below the rounding bound of mpf sums at the working
+precision. It is judged from the first level's sums plus spare bits and
+checked again on the converged sums; a miss raises ConvergenceError. Sums
+are split by panel and by the sign of x, which gives the tolerance scale
+sum q |w| |x|^j exactly; each panel's constant jump phase multiplies its
+sums once, and only complex alpha adds per-node cos/sin sums. Everything
+becomes mpf only at each level's convergence test.
+
+Determinants come from a pivoted triangular factorisation
 carried in mpmath arithmetic; for positive weights an independent
 orthogonal-polynomial (Stieltjes) recurrence provides a second route.
 
@@ -16,12 +31,14 @@ the precision-robustness tests rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 from numpy.polynomial import chebyshev as npcheb
 
 from .equilibrium import Potential
@@ -39,6 +56,8 @@ OP_RECURRENCE = "op_recurrence"
 _GUARD_BITS = 64
 _START_LEVEL = 3
 _MAX_LEVEL = 11
+# spare fractional bits of the fixed-point moment sums (see _fraction_bits)
+_HEADROOM_BITS = 32
 
 
 def default_precision_bits(n):
@@ -121,7 +140,7 @@ class _WeightEvaluator:
         self.w_coeffs = None if np.all(w == 0) else [mp.mpf(c) for c in w]
         self.sings = list(ws.cfg)
         self.ts = [mp.mpf(s.t) for s in self.sings]
-        self.positive = ws.is_positive
+        self.complex_alpha = any(s.alpha.imag != 0.0 for s in self.sings)
 
     def _exponent_smooth(self, x):
         acc = self.v_coeffs[-1]
@@ -133,11 +152,13 @@ class _WeightEvaluator:
         return e
 
     def panel_constants(self, panel_index):
-        """(left singularity index, right singularity index, jump exponents).
+        """((left singularity index, right singularity index, log of the jump
+        modulus), jump phase) on one panel.
 
         In the panel between t_p and t_{p+1} every singularity with index
         <= p lies left of x and contributes e^{-i pi beta}; the rest
-        contribute e^{+i pi beta}.
+        contribute e^{+i pi beta}. Their product is the panel's constant
+        e^{jump_re + i jump_im}.
         """
         m = len(self.sings)
         left = panel_index - 1 if panel_index >= 1 else None
@@ -147,12 +168,15 @@ class _WeightEvaluator:
         )
         jump_re = -mp.pi * mp.mpf(jump.imag)
         jump_im = mp.pi * mp.mpf(jump.real)
-        return left, right, jump_re, jump_im
+        return (left, right, jump_re), jump_im
 
     def value(self, x, dist_left, dist_right, consts):
-        left, right, jump_re, jump_im = consts
-        e_re = self._exponent_smooth(x) + jump_re
-        e_im = jump_im
+        """(|w(x)|, theta): the weight is |w(x)| e^{i theta} times the panel's
+        constant jump phase, with theta = sum_j Im(alpha_j) log|x - t_j|,
+        or None when every alpha is real."""
+        left, right, jump_re = consts
+        e = self._exponent_smooth(x) + jump_re
+        theta = mp.mpf(0) if self.complex_alpha else None
         for j, s in enumerate(self.sings):
             if s.alpha == 0:
                 continue
@@ -163,43 +187,59 @@ class _WeightEvaluator:
             else:
                 d = abs(x - self.ts[j])
             ld = mp.log(d)
-            e_re += s.alpha.real * ld
+            e += s.alpha.real * ld
             if s.alpha.imag != 0.0:
-                e_im += s.alpha.imag * ld
-        if self.positive:
-            return mp.exp(e_re)
-        return mp.exp(mp.mpc(e_re, e_im))
+                theta += s.alpha.imag * ld
+        return mp.exp(e), theta
+
+
+def _floor_bits(prec, sing):
+    """Exponent b of the transform-weight floor 2^-b at a panel end.
+
+    Near a singularity |x - t|^alpha the integrand on a node of transform
+    weight w' is about w'^(1 + Re alpha), so the tail dropped below the floor
+    stays under 2^-(prec + 16) only if b = (prec + 16) / (1 + min(0, Re alpha)).
+    Ends without a singularity, or with Re alpha >= 0, keep b = prec + 16.
+    """
+    re_alpha = 0.0 if sing is None else min(0.0, sing.alpha.real)
+    return math.ceil((prec + 16) / (1.0 + re_alpha))
 
 
 @lru_cache(maxsize=64)
-def _tanh_sinh_nodes(level, only_odd, prec):
+def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
     """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level.
 
     Returns tuples (u, 1-u, 1+u, w') where w' excludes the step factor h
     (the progressive scheme rescales it at every refinement). The endpoint
     gaps 1 -/+ u are computed through 2/(exp(+/-2s)+1), free of
-    cancellation. Enumeration stops once w' underflows the precision floor.
+    cancellation. Enumeration towards -1 stops once w' falls below
+    2^-left_bits, towards +1 below 2^-right_bits (see _floor_bits).
     ``only_odd`` yields just the nodes new to this level.
     """
     with mp.workprec(prec):
         h = mp.mpf(1) / (1 << level)
-        floor = mp.mpf(2) ** (-(prec + 16))
+        left_floor = mp.mpf(2) ** -left_bits
+        right_floor = mp.mpf(2) ** -right_bits
         half_pi = mp.pi / 2
         nodes = []
         j = 1 if only_odd else 0
         step = 2 if only_odd else 1
         while True:
-            t = j * h
-            s = half_pi * mp.sinh(t)
-            w = half_pi * mp.cosh(t) / mp.cosh(s) ** 2
-            if w < floor and j > 0:
-                break
+            sinh_t = mp.sinh(j * h)
+            s = half_pi * sinh_t
             e2s = mp.exp(2 * s)
+            # cosh(t) / cosh(s)^2 with cosh(s)^2 = (e2s + 1)^2 / (4 e2s)
+            w = 2 * mp.pi * mp.sqrt(1 + sinh_t * sinh_t) * e2s / (e2s + 1) ** 2
+            keep_right = w >= right_floor or j == 0
+            keep_left = w >= left_floor and j > 0
+            if not (keep_right or keep_left):
+                break
             one_minus = 2 / (e2s + 1)
             u = 1 - one_minus
             one_plus = 2 * e2s / (e2s + 1)
-            nodes.append((u, one_minus, one_plus, w))
-            if j > 0:
+            if keep_right:
+                nodes.append((u, one_minus, one_plus, w))
+            if keep_left:
                 nodes.append((-u, one_plus, one_minus, w))
             j += step
     return tuple(nodes)
@@ -231,14 +271,80 @@ def _find_cutoff(ws, max_power, precision_bits):
     raise ConvergenceError("tail cutoff search did not terminate")
 
 
+def _log2(v):
+    """log2 |v| of an mpf as a float (-inf for zero)."""
+    _, man, exp, _ = v._mpf_
+    return math.log2(man) + exp if man else -math.inf
+
+
+def _fixed_abs(v, bits):
+    """floor(|v| 2^bits) of an mpf v, as a Python int."""
+    _, man, exp, _ = v._mpf_
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _add_powers(acc, a, xi, bits):
+    """acc[j] += a (xi 2^-bits)^j for every j, each product truncated to an
+    integer; stops once the product vanishes."""
+    for j in range(len(acc)):
+        acc[j] += a
+        a = (a * xi) >> bits
+        if not a:
+            return
+
+
+def _fraction_bits(workprec, n_mom, X, log2_abs_sums, log2_m_max):
+    """Fractional bits G at which fixed-point moment sums round no worse than
+    sums of workprec-bit mpf terms.
+
+    With m = q |w(x)| and xi = |x| both truncated to multiples of 2^-G and
+    a_{j+1} = floor(a_j xi 2^-G), the error of a_j 2^-G against m |x|^j is,
+    to first order, at most 2^-G X'^j (j + 1 + j m_max) per node, X' =
+    max(1, X): the j + 1 truncations grow by at most X'^j, the truncation of
+    |x| by j m |x|^(j-1). Over N nodes this stays below the mpf rounding bound
+    N n_mom 2^-workprec T_j, T_j = sum m |x|^j, when G is at least the value
+    returned (moments with T_j = 0 have no error to bound).
+    """
+    lx = math.log2(max(1.0, X))
+    spread = max(0.0, log2_m_max) + 1.0 - math.log2(n_mom)
+    return workprec + max(
+        (j * lx + math.log2(j + 1) + spread - t
+         for j, t in enumerate(log2_abs_sums) if t > -math.inf),
+        default=0.0,
+    )
+
+
+def _estimate_abs_sums(points, n_mom):
+    """Float log2 of T_j = sum m |x|^j (j < n_mom) and of max m over the
+    nodes (p, x, m, theta)."""
+    lm = np.array([_log2(m) for _, _, m, _ in points])
+    lx = np.array([_log2(x) for _, x, _, _ in points])
+    with np.errstate(invalid="ignore"):
+        e = lm + np.arange(n_mom)[:, None] * lx
+    e[0] = lm  # |x|^0 = 1, also at x = 0
+    top = e.max(axis=1)
+    log2_t = top + np.log2(np.exp2(e - top[:, None]).sum(axis=1))
+    return [float(t) for t in log2_t], float(lm.max())
+
+
 def _quadrature(ws, count, precision_bits, keep_nodes=False):
     """All moments w_0 .. w_{2 count - 2} by progressive tanh-sinh panels.
 
     Refinement doubles the node density until every moment is stable
     relative to its absolute-value integral (the scale at which the
     determinant feels cancellation). Raises ConvergenceError if the level
-    cap is hit first. With keep_nodes=True also returns the converged
-    discrete measure as node and weighted-value lists (x_i, q_i w(x_i)).
+    cap is hit first, or if the fixed-point sums could not meet their
+    rounding bound. With keep_nodes=True also returns the converged discrete
+    measure as node and weighted-value lists (x_i, q_i w(x_i)).
+
+    The sums are Python integers in units of 2^-G (see _fraction_bits): each
+    node adds floor(q |w(x)| |x|^j 2^G), by integer multiply and shift, to
+    its panel's sums for x >= 0 or x < 0. The panel's sums of q |w| x^j are
+    then S+_j + (-1)^j S-_j and those of q |w| |x|^j (the tolerance scale)
+    S+_j + S-_j. Each panel's constant jump phase multiplies its sums once
+    per level; only complex alpha adds per-node sums of q |w| cos(theta)
+    and q |w| sin(theta).
     """
     if precision_bits < 128:
         raise DomainError("precision_bits must be >= 128")
@@ -250,42 +356,85 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
 
     with mp.workprec(workprec):
         evaluator = _WeightEvaluator(ws)
-        bounds = [mp.mpf(-X)] + [mp.mpf(s.t) for s in ws.cfg] + [mp.mpf(X)]
-        panels = []
+        sings = list(ws.cfg)
+        bounds = [mp.mpf(-X)] + [mp.mpf(s.t) for s in sings] + [mp.mpf(X)]
+        panels, phases = [], []
         for p in range(len(bounds) - 1):
             a, b = bounds[p], bounds[p + 1]
-            panels.append(((a + b) / 2, (b - a) / 2, evaluator.panel_constants(p)))
-
-        complex_weight = not evaluator.positive
-        zero = mp.mpc(0) if complex_weight else mp.mpf(0)
-        sums = [zero] * n_mom
-        abs_sums = [mp.mpf(0)] * n_mom
+            consts, jump_im = evaluator.panel_constants(p)
+            left, right, _ = consts
+            ends = (
+                _floor_bits(workprec, None if left is None else sings[left]),
+                _floor_bits(workprec, None if right is None else sings[right]),
+            )
+            panels.append(((a + b) / 2, (b - a) / 2, consts, ends))
+            phases.append(jump_im)
+        units = None if ws.is_positive else [mp.expj(p) for p in phases]
+        n_parts = 3 if evaluator.complex_alpha else 1
+        # acc[panel][x < 0][part][j]; parts: q|w|, q|w| cos(theta), q|w| sin(theta)
+        acc = [
+            [[[0] * n_mom for _ in range(n_parts)] for _ in range(2)] for _ in panels
+        ]
+        a_max = 0
         xs, ds = [], []
 
-        def add_nodes(level, only_odd):
-            std = _tanh_sinh_nodes(level, only_odd, workprec)
-            for mid, half, consts in panels:
-                for u, um, up, w in std:
+        def nodes(level, only_odd):
+            for p, (mid, half, consts, ends) in enumerate(panels):
+                for u, um, up, w in _tanh_sinh_nodes(level, only_odd, workprec, *ends):
                     x = mid + half * u
-                    fv = evaluator.value(x, half * up, half * um, consts)
-                    q = half * w
-                    pw = q * fv
-                    apw = q * abs(fv)
-                    if keep_nodes:
-                        xs.append(x)
-                        ds.append(pw)
-                    ax = abs(x)
-                    for jm in range(n_mom):
-                        sums[jm] += pw
-                        abs_sums[jm] += apw
-                        if jm < n_mom - 1:
-                            pw = pw * x
-                            apw = apw * ax
+                    mod, theta = evaluator.value(x, half * up, half * um, consts)
+                    yield p, x, half * w * mod, theta
 
-        rel_tol = mp.mpf(2) ** (-(precision_bits + 16))
-        add_nodes(_START_LEVEL, only_odd=False)
-        h = mp.mpf(1) / (1 << _START_LEVEL)
-        prev = [h * s for s in sums]
+        def accumulate(points, G):
+            nonlocal a_max
+            for p, x, m, theta in points:
+                xi = _fixed_abs(x, G)
+                a = _fixed_abs(m, G)
+                a_max = max(a_max, a)
+                parts = acc[p][x._mpf_[0]]
+                _add_powers(parts[0], a, xi, G)
+                if theta is not None:
+                    c, s = mp.cos_sin(theta)
+                    _add_powers(parts[1], to_fixed((m * c)._mpf_, G), xi, G)
+                    _add_powers(parts[2], to_fixed((m * s)._mpf_, G), xi, G)
+                if keep_nodes:
+                    xs.append(x)
+                    if units is not None:
+                        m = m * units[p] * (1 if theta is None else mp.expj(theta))
+                    ds.append(m)
+
+        def level_sums(level, G):
+            """h-scaled moments of the nodes so far, and their integer sums of
+            q |w| |x|^j."""
+            e = -(G + level)
+
+            def panel_sum(parts):  # without the panel's jump phase
+                if n_parts == 1:
+                    return mp.mpf((parts[0], e))
+                return mp.mpc(mp.mpf((parts[1], e)), mp.mpf((parts[2], e)))
+
+            moments, abs_sums = [], []
+            for j in range(n_mom):
+                sign = -1 if j % 2 else 1
+                signed = [[pos[j] + sign * neg[j] for pos, neg in zip(*sides)]
+                          for sides in acc]
+                abs_sums.append(sum(pos[0][j] + neg[0][j] for pos, neg in acc))
+                if units is None:
+                    moments.append(mp.mpf((sum(parts[0] for parts in signed), e)))
+                else:
+                    moments.append(sum(
+                        (u * panel_sum(parts) for u, parts in zip(units, signed)),
+                        mp.mpc(0),
+                    ))
+            return moments, abs_sums
+
+        start = list(nodes(_START_LEVEL, only_odd=False))
+        log2_t, log2_m_max = _estimate_abs_sums(start, n_mom)
+        G = _HEADROOM_BITS + math.ceil(
+            _fraction_bits(workprec, n_mom, X, log2_t, log2_m_max)
+        )
+        accumulate(start, G)
+        prev, _ = level_sums(_START_LEVEL, G)
         level = _START_LEVEL
         while True:
             level += 1
@@ -293,21 +442,26 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                 raise ConvergenceError(
                     f"moment quadrature stalled at level {_MAX_LEVEL}"
                 )
-            add_nodes(level, only_odd=True)
-            h = mp.mpf(1) / (1 << level)
-            cur = [h * s for s in sums]
-            ok = True
-            for jm in range(n_mom):
-                scale = h * abs_sums[jm]
-                if scale == 0:
-                    continue
-                if abs(cur[jm] - prev[jm]) > rel_tol * scale:
-                    ok = False
-                    break
-            if ok:
+            accumulate(nodes(level, only_odd=True), G)
+            cur, abs_sums = level_sums(level, G)
+            # |change| <= 2^-(precision_bits + 16) times the h-scaled abs sum
+            tol_exp = -(G + level + precision_bits + 16)
+            if all(abs(c - p) <= mp.mpf((t, tol_exp))
+                   for c, p, t in zip(cur, prev, abs_sums)):
                 break
             prev = cur
 
+        need = _fraction_bits(
+            workprec, n_mom, X,
+            [math.log2(t) - G if t else -math.inf for t in abs_sums],
+            math.log2(a_max + 1) - G,
+        )
+        if G < need:
+            raise ConvergenceError(
+                f"fixed-point moment sums carry {G} fractional bits; their "
+                f"rounding bound needs {math.ceil(need)}"
+            )
+        h = mp.mpf(1) / (1 << level)
         if keep_nodes:
             return cur, (xs, [h * d for d in ds])
         return cur, None

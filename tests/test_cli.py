@@ -94,6 +94,43 @@ def test_unchecked_inputs_exit_2_naming_the_key(tmp_path, capsys, key, value):
     assert f"config key '{key}'" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, cause",
+    [
+        ("alpha_re", 1e300, "alpha^2/4 - beta^2 overflows"),
+        ("beta_im", 1e300, "alpha^2/4 - beta^2 overflows"),
+        ("alpha_re", 1e154, "C4.barnes_1"),
+    ],
+)
+def test_huge_singularity_exponent_exits_2_naming_the_cause(
+    tmp_path, capsys, field, value, cause
+):
+    # finite config values that pass every key check, but whose squares (or
+    # Barnes G terms) overflow the float expansion
+    path = write_config(
+        tmp_path, {"singularities": [{"t": 0.2, field: value}], "n_list": [3]}
+    )
+    code, out, err = run_cli(capsys, "predict", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert cause in err
+
+
+@pytest.mark.parametrize(
+    "support, cause",
+    [
+        ([-1e308, 1e308], "(b - a)/2 overflows"),
+        ([-1e200, 1e200], "coefficients that overflow"),
+    ],
+)
+def test_overflowing_support_exits_2_naming_it(tmp_path, capsys, support, cause):
+    path = write_config(tmp_path, {"support": support, "n_list": [3]})
+    code, out, err = run_cli(capsys, "predict", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "is too wide" in err and cause in err
+
+
 NUMBER_LIKE = (
     st.booleans()
     | st.integers()

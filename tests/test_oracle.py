@@ -6,7 +6,13 @@ import pytest
 
 import hankelfh as hf
 from hankelfh.chebyshev import ChebSeries
-from hankelfh.errors import DomainError, PositivityError, ZeroDeterminantError
+import hankelfh.oracle as oracle_mod
+from hankelfh.errors import (
+    ConvergenceError,
+    DomainError,
+    PositivityError,
+    ZeroDeterminantError,
+)
 from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE
 
 
@@ -215,8 +221,6 @@ def test_ratio_mismatched_n_rejected():
 
 def test_ratio_zero_denominator_raises(monkeypatch):
     # route the denominator to a synthetic vanishing determinant
-    import hankelfh.oracle as oracle_mod
-
     def fake_oracle(ws, precision_bits=None):
         if len(ws.cfg):
             return hf.hankel_log_det([mp.mpf(1), mp.mpf(1), mp.mpf(1)], 2, 256)
@@ -230,3 +234,76 @@ def test_ratio_zero_denominator_raises(monkeypatch):
     )
     with pytest.raises(ZeroDeterminantError):
         oracle_mod.log_det_ratio(ws_num, ws_den, 256)
+
+
+# ------------------------------------------------------- negative root exponents
+
+
+@pytest.mark.parametrize(
+    "alpha, reference",
+    # log D_4 at GUE, t = 0, from an independent float64 route (Gauss-Jacobi
+    # panels and Lanczos)
+    [(-0.3, -14.4989042808910), (-0.5, -13.3397402250119)],
+)
+def test_negative_alpha_converges_at_default_precision(alpha, reference):
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, alpha, 0.0),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 4)
+    res = hf.oracle_log_det(ws)
+    assert res.converged
+    assert abs(res.log_abs - reference) < 1e-9
+    rec = hf.op_recurrence_log_det(ws)
+    assert abs(res.log_abs - rec.log_abs) < 1e-10
+
+
+# ------------------------------------------- fixed-point moment accumulation
+
+
+def mpf_reference_moments(ws, count, precision_bits):
+    """compute_moments' result with plain mpf sums of q w(x) x^j, and of
+    q |w(x)| |x|^j (the tolerance scale), over the same converged nodes."""
+    moments, (xs, ds) = oracle_mod._quadrature(
+        ws, count, precision_bits, keep_nodes=True
+    )
+    n_mom = 2 * count - 1
+    with mp.workprec(precision_bits + oracle_mod._GUARD_BITS):
+        sums = [mp.mpf(0)] * n_mom
+        abs_sums = [mp.mpf(0)] * n_mom
+        for x, d in zip(xs, ds):
+            p, ap, ax = d, abs(d), abs(x)
+            for j in range(n_mom):
+                sums[j] += p
+                abs_sums[j] += ap
+                p *= x
+                ap *= ax
+    return moments, sums, abs_sums
+
+
+@pytest.mark.parametrize(
+    "sings, n, precision_bits",
+    [
+        # positive weight with 47 moments (at 1152 bits the mpf reference
+        # alone takes about 25 s)
+        ((), 24, 256),
+        # the complex-beta pair of the benchmark's compare workload
+        (((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j)), 6, 384),
+        (((0.2, 0.5 + 0.3j, 0.0),), 3, 256),  # complex alpha
+    ],
+    ids=["positive-n24", "complex-beta-pair", "complex-alpha"],
+)
+def test_integer_moments_match_mpf_sums(sings, n, precision_bits):
+    cfg = hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, n)
+    moments, sums, abs_sums = mpf_reference_moments(ws, n, precision_bits)
+    assert {type(m) for m in moments} == {mp.mpf if ws.is_positive else mp.mpc}
+    rel_tol = mp.mpf(2) ** -(precision_bits + 16)
+    for m, s, a in zip(moments, sums, abs_sums):
+        assert abs(m - s) <= rel_tol * a
+
+
+def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
+    # G is set from the start level's own sums, which the final sums only
+    # exceed, so the post-convergence check needs a scale cut below the
+    # bound to fire; it must raise instead of returning rounded moments
+    monkeypatch.setattr(oracle_mod, "_HEADROOM_BITS", -16)
+    with pytest.raises(ConvergenceError, match="fractional bits"):
+        hf.compute_moments(gue_weight(6), 6, 256)
