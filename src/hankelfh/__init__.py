@@ -3,10 +3,8 @@ Fisher-Hartwig singularities, validated against exact small-n oracles."""
 
 from .chebyshev import (
     ChebSeries,
-    cheb_fit,
     cheb_weighted_integrals,
     hilbert_T,
-    hilbert_U,
     log_kernel_integral,
     log_potential_exterior,
 )
@@ -31,7 +29,6 @@ from .errors import (
     PoleError,
     PositivityError,
     RegularityError,
-    ResolutionError,
     SeparationError,
     SupportError,
     ZeroDeterminantError,
@@ -53,7 +50,6 @@ from .singularities import (
     ThinningSpec,
 )
 from .special import log_barnes_g, log_gamma, zeta_prime_minus_one
-from .szego import SzegoValues, szego_functions, weight_on_cut
 from .asymptotics import (
     ExpansionCoefficients,
     PredictionResult,

@@ -23,6 +23,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .chebyshev import ChebSeries, cheb_weighted_integrals, hilbert_T, t_to_u
 from .errors import DomainError
@@ -175,32 +176,35 @@ def expansion_coefficients(V, measure, W, cfg):
             -np.log(np.pi ** 2 / 4.0 * psi_p1 * psi_m1) / 24.0
         ),
     }
-    c4.update(_pairwise_terms(cfg))
-    for idx, s in enumerate(cfg, start=1):
-        j0 = idx - 1
-        half_alpha = 0.5 * s.alpha
-        root = np.sqrt(1.0 - s.t ** 2)
-        barnes = (
-            log_barnes_g(1.0 + half_alpha + s.beta)
-            + log_barnes_g(1.0 + half_alpha - s.beta)
-            - log_barnes_g(1.0 + s.alpha)
-        )
-        c4[f"arc_{idx}"] = complex(1j * A * s.beta * np.arcsin(s.t))
-        c4[f"signed_alpha_{idx}"] = complex(
-            -0.5j * np.pi * s.beta * cfg.alpha_signed_partial(j0)
-        )
-        c4[f"barnes_{idx}"] = complex(barnes)
-        c4[f"density_{idx}"] = complex(
-            (0.25 * s.alpha ** 2 - s.beta ** 2)
-            * np.log(0.5 * np.pi * float(np.real(psi(s.t))))
-        )
-        c4[f"field_at_{idx}"] = complex(-half_alpha * W(s.t))
-        c4[f"field_hilbert_{idx}"] = complex(
-            1j * s.beta / np.pi * root * _field_hilbert_at(W, s.t)
-        )
-        c4[f"halfwidth_{idx}"] = complex(
-            (0.25 * s.alpha ** 2 - 3.0 * s.beta ** 2) * np.log(2.0 * root)
-        )
+    # overflow for huge alpha or beta leaves inf/nan terms, which the
+    # finite check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        c4.update(_pairwise_terms(cfg))
+        for idx, s in enumerate(cfg, start=1):
+            j0 = idx - 1
+            half_alpha = 0.5 * s.alpha
+            root = np.sqrt(1.0 - s.t ** 2)
+            barnes = (
+                log_barnes_g(1.0 + half_alpha + s.beta)
+                + log_barnes_g(1.0 + half_alpha - s.beta)
+                - log_barnes_g(1.0 + s.alpha)
+            )
+            c4[f"arc_{idx}"] = complex(1j * A * s.beta * np.arcsin(s.t))
+            c4[f"signed_alpha_{idx}"] = complex(
+                -0.5j * np.pi * s.beta * cfg.alpha_signed_partial(j0)
+            )
+            c4[f"barnes_{idx}"] = complex(barnes)
+            c4[f"density_{idx}"] = complex(
+                (0.25 * s.alpha ** 2 - s.beta ** 2)
+                * np.log(0.5 * np.pi * float(np.real(psi(s.t))))
+            )
+            c4[f"field_at_{idx}"] = complex(-half_alpha * W(s.t))
+            c4[f"field_hilbert_{idx}"] = complex(
+                1j * s.beta / np.pi * root * _field_hilbert_at(W, s.t)
+            )
+            c4[f"halfwidth_{idx}"] = complex(
+                (0.25 * s.alpha ** 2 - 3.0 * s.beta ** 2) * np.log(2.0 * root)
+            )
 
     breakdown = {"C1": c1, "C2": c2, "C3": c3, "C4": c4}
     totals = {name: sum(terms.values()) for name, terms in breakdown.items()}
@@ -251,8 +255,6 @@ def gue_exact_log(n):
     computed in log space."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    from scipy.special import gammaln
-
     log_factorials = float(np.sum(gammaln(np.arange(2, n + 1))))
     return (
         0.5 * n * _LOG_2PI

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import DomainError, ResolutionError
-
-#: default relative tolerance deciding whether a series is resolved
-RESOLUTION_TOL = 1e-13
-
-#: fitting degree is doubled up to this bound before giving up
-MAX_FIT_DEGREE = 512
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -57,23 +51,6 @@ class ChebSeries:
 
     def __call__(self, x):
         return npcheb.chebval(x, self.coeffs)
-
-    def is_resolved(self, tol=RESOLUTION_TOL):
-        """True when the last two coefficients are negligible relative to the
-        largest one. Series of length <= 2 carry no tail and count as
-        resolved."""
-        c = np.abs(self.coeffs)
-        if len(c) <= 2:
-            return True
-        top = c.max()
-        if top == 0.0:
-            return True
-        return max(c[-1], c[-2]) <= tol * top
-
-    def derivative(self):
-        if self.degree == 0:
-            return ChebSeries(np.zeros(1, dtype=self.coeffs.dtype))
-        return ChebSeries(npcheb.chebder(self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, ChebSeries):
@@ -106,50 +83,6 @@ class ChebSeries:
         return ChebSeries(npcheb.poly2cheb(np.atleast_1d(poly_coeffs)))
 
 
-def _cgl_fit(f, deg):
-    """Interpolation coefficients at the deg+1 Chebyshev-Gauss-Lobatto
-    points cos(pi*j/deg)."""
-    j = np.arange(deg + 1)
-    x = np.cos(np.pi * j / deg)
-    fx = np.asarray([f(xi) for xi in x])
-    # DCT-I style sum with halved endpoint samples
-    w = np.ones(deg + 1)
-    w[0] = w[-1] = 0.5
-    table = np.cos(np.pi * np.outer(j, j) / deg)
-    c = (2.0 / deg) * (table @ (w * fx))
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    return c
-
-
-def cheb_fit(f, deg, tol=RESOLUTION_TOL):
-    """Fit f on [-1, 1] by interpolation at Chebyshev-Gauss-Lobatto points.
-
-    The fit is exact (to rounding) for polynomials of degree <= deg. If the
-    trailing coefficients are not negligible the degree is doubled, up to
-    MAX_FIT_DEGREE, after which a ResolutionError is raised.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar function evaluable on [-1, 1]; may return complex values.
-    deg : int
-        Initial interpolation degree, at least 2.
-    """
-    if deg < 2:
-        raise DomainError("cheb_fit requires degree >= 2")
-    n = int(deg)
-    while True:
-        series = ChebSeries(_cgl_fit(f, n))
-        if series.is_resolved(tol):
-            return series
-        if n >= MAX_FIT_DEGREE:
-            raise ResolutionError(
-                f"function not resolved at tolerance {tol:g} with degree {n}"
-            )
-        n = min(2 * n, MAX_FIT_DEGREE)
-
-
 def cheb_weighted_integrals(f):
     """Both Chebyshev-weighted integrals of a series, in closed form.
 
@@ -164,25 +97,15 @@ def cheb_weighted_integrals(f):
     return np.pi * c0, 0.5 * np.pi * c0 - 0.25 * np.pi * c2
 
 
-def _u_values(y, count):
-    """U_0(y) .. U_{count-1}(y) by the three-term recurrence."""
+def _cheb_values(y, count, first):
+    """P_0(y) .. P_{count-1}(y) for P_0 = 1, P_1 = first * y and the
+    three-term recurrence P_k = 2 y P_{k-1} - P_{k-2}: first = 1 gives T_k,
+    first = 2 gives U_k."""
     vals = np.empty(count, dtype=complex if np.iscomplexobj(np.asarray(y)) else float)
     if count >= 1:
         vals[0] = 1.0
     if count >= 2:
-        vals[1] = 2.0 * y
-    for k in range(2, count):
-        vals[k] = 2.0 * y * vals[k - 1] - vals[k - 2]
-    return vals
-
-
-def _t_values(y, count):
-    """T_0(y) .. T_{count-1}(y) by the three-term recurrence."""
-    vals = np.empty(count, dtype=complex if np.iscomplexobj(np.asarray(y)) else float)
-    if count >= 1:
-        vals[0] = 1.0
-    if count >= 2:
-        vals[1] = y
+        vals[1] = first * y
     for k in range(2, count):
         vals[k] = 2.0 * y * vals[k - 1] - vals[k - 2]
     return vals
@@ -200,22 +123,8 @@ def hilbert_T(f, y):
     c = f.coeffs
     if len(c) == 1:
         return 0.0 * c[0]
-    u = _u_values(y, len(c) - 1)
+    u = _cheb_values(y, len(c) - 1, 2.0)
     return np.pi * np.dot(c[1:], u)
-
-
-def hilbert_U(g, y):
-    """Finite Hilbert transform of a U-series against the sqrt weight.
-
-    g holds coefficients g_l of sum_l g_l U_l(x); the returned value is
-    pv int_{-1}^{1} (sum_l g_l U_l(x)) sqrt(1-x^2)/(x-y) dx
-    = -pi * sum_l g_l T_{l+1}(y).
-    """
-    if not -1.0 < y < 1.0:
-        raise DomainError(f"hilbert_U needs y strictly inside (-1, 1), got {y}")
-    g = np.atleast_1d(np.asarray(g.coeffs if isinstance(g, ChebSeries) else g))
-    t = _t_values(y, len(g) + 1)
-    return -np.pi * np.dot(g, t[1:])
 
 
 def t_to_u(coeffs):
@@ -258,7 +167,7 @@ def _log_kernel_interior(g, x):
         l = 0 : pi*T_2(x)/4 - (pi/2) log 2
         l >= 1: (pi/2) * (T_{l+2}(x)/(l+2) - T_l(x)/l)
     """
-    t = _t_values(x, len(g) + 2)
+    t = _cheb_values(x, len(g) + 2, 1.0)
     total = g[0] * (0.25 * np.pi * t[2] - 0.5 * np.pi * np.log(2.0))
     for l in range(1, len(g)):
         total += g[l] * 0.5 * np.pi * (t[l + 2] / (l + 2) - t[l] / l)

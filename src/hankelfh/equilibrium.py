@@ -50,14 +50,9 @@ SUPPORT_GRID = 201
 
 @dataclass(frozen=True)
 class Potential:
-    """Real polynomial potential, stored by ascending monomial coefficients.
-
-    The optional ``support`` records the original interval [a, b] when the
-    potential was produced by rescaling.
-    """
+    """Real polynomial potential, stored by ascending monomial coefficients."""
 
     coeffs: np.ndarray
-    support: Optional[tuple] = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -304,7 +299,7 @@ def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
             f"support [{a}, {b}] is too wide: the potential rescaled to "
             "[-1, 1] has coefficients that overflow a float"
         )
-    V = Potential(composed.coef, support=(float(a), float(b)))
+    V = Potential(composed.coef)
 
     W = None
     if W_tilde is not None:

@@ -9,11 +9,6 @@ class DomainError(HankelFHError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ResolutionError(HankelFHError):
-    """A Chebyshev fit did not resolve the target function at the requested
-    tolerance, even after the degree was grown to the configured maximum."""
-
-
 class PoleError(DomainError):
     """Evaluation requested at a pole (or at a zero whose logarithm is
     requested) of a special function."""

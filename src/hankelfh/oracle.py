@@ -267,8 +267,12 @@ def _find_cutoff(ws, max_power, precision_bits):
     for _ in range(400):
         if exponent(X) < target and exponent(-X) < target:
             return X
-        X *= 1.25
-    raise ConvergenceError("tail cutoff search did not terminate")
+        last, X = X, X * 1.25
+    excess = (max(exponent(last), exponent(-last)) - target) / np.log(2.0)
+    raise ConvergenceError(
+        f"tail cutoff search did not terminate: at the last X = {last:.6g}, "
+        f"x^{max_power} |w(x)| still exceeds its target by 2^{excess:.4g}"
+    )
 
 
 def _log2(v):
@@ -326,6 +330,23 @@ def _estimate_abs_sums(points, n_mom):
     top = e.max(axis=1)
     log2_t = top + np.log2(np.exp2(e - top[:, None]).sum(axis=1))
     return [float(t) for t in log2_t], float(lm.max())
+
+
+def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec):
+    """Name the moment whose last change overshot its tolerance the most."""
+    def overshoot(j):  # log2 of |change| / tolerance
+        t = abs_sums[j]
+        tol = math.log2(t) + tol_exp if t else -math.inf
+        return _log2(abs(cur[j] - prev[j])) - tol
+
+    failed = [j for j, t in enumerate(abs_sums)
+              if abs(cur[j] - prev[j]) > mp.mpf((t, tol_exp))]
+    j = max(failed, key=overshoot)
+    return (
+        f"moment quadrature stalled at level {_MAX_LEVEL}: moment j = {j} "
+        f"last changed by 2^{overshoot(j):.4g} times its tolerance "
+        f"(cutoff X = {X:.6g}, {workprec} working bits)"
+    )
 
 
 def _quadrature(ws, count, precision_bits, keep_nodes=False):
@@ -438,10 +459,6 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
         level = _START_LEVEL
         while True:
             level += 1
-            if level > _MAX_LEVEL:
-                raise ConvergenceError(
-                    f"moment quadrature stalled at level {_MAX_LEVEL}"
-                )
             accumulate(nodes(level, only_odd=True), G)
             cur, abs_sums = level_sums(level, G)
             # |change| <= 2^-(precision_bits + 16) times the h-scaled abs sum
@@ -449,6 +466,10 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
             if all(abs(c - p) <= mp.mpf((t, tol_exp))
                    for c, p, t in zip(cur, prev, abs_sums)):
                 break
+            if level == _MAX_LEVEL:
+                raise ConvergenceError(
+                    _stall_message(cur, prev, abs_sums, tol_exp, X, workprec)
+                )
             prev = cur
 
         need = _fraction_bits(

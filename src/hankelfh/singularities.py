@@ -47,30 +47,15 @@ class Singularity:
 
 @dataclass(frozen=True)
 class SingularityConfig:
-    """An ordered collection of singularities with certified separation."""
+    """An ordered collection of singularities at strictly increasing locations."""
 
     singularities: tuple = ()
-    min_separation: float = 0.0
 
     def __post_init__(self):
         sings = tuple(self.singularities)
-        ts = [s.t for s in sings]
-        if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
+        if any(a.t >= b.t for a, b in zip(sings, sings[1:])):
             raise SeparationError("singularity locations must strictly increase")
-        if sings:
-            gaps = [ts[0] + 1.0, 1.0 - ts[-1]]
-            gaps += [ts[i + 1] - ts[i] for i in range(len(ts) - 1)]
-            delta = min(gaps)
-        else:
-            delta = 2.0
-        if delta <= 0.0:
-            raise SeparationError("singularities collide with each other or an endpoint")
-        if delta < self.min_separation:
-            raise SeparationError(
-                f"separation {delta:.3e} below the required {self.min_separation:.3e}"
-            )
         object.__setattr__(self, "singularities", sings)
-        object.__setattr__(self, "_delta", float(delta))
 
     def __len__(self):
         return len(self.singularities)
@@ -79,29 +64,12 @@ class SingularityConfig:
         return iter(self.singularities)
 
     @property
-    def delta(self):
-        """min over j != k of |t_j - t_k|, |t_j - 1|, |t_j + 1|."""
-        return self._delta
-
-    @property
-    def ts(self):
-        return np.array([s.t for s in self.singularities])
-
-    @property
     def alphas(self):
         return np.array([s.alpha for s in self.singularities], dtype=complex)
 
     @property
-    def betas(self):
-        return np.array([s.beta for s in self.singularities], dtype=complex)
-
-    @property
     def alpha_sum(self):
         return complex(self.alphas.sum()) if len(self) else 0.0 + 0.0j
-
-    @property
-    def beta_sum(self):
-        return complex(self.betas.sum()) if len(self) else 0.0 + 0.0j
 
     def alpha_signed_partial(self, j):
         """sum_{l<j} alpha_l - sum_{l>j} alpha_l (0-based j)."""
@@ -122,8 +90,7 @@ class SingularityConfig:
             tuple(
                 Singularity(s.t, s.alpha, b)
                 for s, b in zip(self.singularities, betas)
-            ),
-            min_separation=self.min_separation,
+            )
         )
 
 

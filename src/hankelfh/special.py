@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import scipy.special as sp
 
@@ -92,7 +93,5 @@ def zeta_prime_minus_one():
     Evaluated once in 30-digit arithmetic and cached; memoisation makes the
     first concurrent call safe (worst case the constant is computed twice).
     """
-    import mpmath as mp
-
     with mp.workdps(30):
         return float(mp.mpf(1) / 12 - mp.log(mp.glaisher))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .asymptotics import predict_log_hankel
 from .errors import HypothesisError
+from .oracle import WeightSpec, log_det_ratio
 from .singularities import Singularity, SingularityConfig, ThinningSpec
 
 TWO_PI_I = 2j * np.pi
@@ -94,8 +95,6 @@ def gap_probability_log(V, measure, spec, n) -> GapPrediction:
 
 def gap_probability_log_exact(V, spec, n, precision_bits=None):
     """Finite-n log gap probability from exact Hankel determinants."""
-    from .oracle import WeightSpec, log_det_ratio
-
     tmap, base, thinned = _thinning_configs(spec)
     if not spec.kept:
         return 0.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hankelfh as hf
@@ -223,6 +225,51 @@ def test_term_breakdown_sums_to_constants(gue_potential, gue_measure):
         assert abs(sum(coeffs.term_breakdown[name].values()) - total) < 1e-14
 
 
+@st.composite
+def expansion_problems(draw):
+    """(V, W, cfg) anywhere in the hypothesis domain: the Gaussian potential
+    or an even quartic c2 x^2 + c4 x^4 with 2 c2 + 3 c4 = 4 (support
+    [-1, 1]), a 4-term field, and 1-3 singularities with Re alpha in (-1, 3],
+    complex alpha and beta, |Re beta| < 1/4 and separated locations."""
+    c4 = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+    V = hf.Potential([0.0, 0.0, 2.0 - 1.5 * c4, 0.0, c4])
+    W = ChebSeries(draw(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)))
+    ts = sorted(draw(st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3)))
+    assume(all(b - a > 0.05 for a, b in zip(ts, ts[1:])))
+    parts = st.floats(-1.0, 1.0)
+    sings = tuple(
+        hf.Singularity(
+            t,
+            complex(draw(st.floats(-1.0, 3.0, exclude_min=True)), draw(parts)),
+            complex(draw(st.floats(-0.25, 0.25, exclude_min=True, exclude_max=True)),
+                    draw(parts)),
+        )
+        for t in ts
+    )
+    return V, W, cfg_of(*sings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansion_problems())
+def test_reflection_and_composition_over_the_domain(problem):
+    # x -> -x maps (W(x), t, alpha, beta) to (W(-x), -t, alpha, -beta) and
+    # leaves the determinant of an even V unchanged; the three deformation
+    # ratios plus the Gaussian and root-type constants rebuild C1..C4
+    V, W, cfg = problem
+    measure = hf.equilibrium_measure(V)
+    direct = hf.expansion_coefficients(V, measure, W, cfg).as_tuple()
+    W_ref = ChebSeries(W.coeffs * (-1.0) ** np.arange(len(W.coeffs)))
+    cfg_ref = cfg_of(
+        *(hf.Singularity(-s.t, s.alpha, -s.beta) for s in reversed(cfg.singularities))
+    )
+    reflected = hf.expansion_coefficients(V, measure, W_ref, cfg_ref).as_tuple()
+    composed = hf.composed_constants(V, measure, W, cfg)
+    for name, a, b, c in zip(("C1", "C2", "C3", "C4"), direct, reflected, composed):
+        scale = max(1.0, abs(a))
+        assert abs(b - a) <= 1e-10 * scale, (name, "reflection", a, b)
+        assert abs(c - a) <= 1e-10 * scale, (name, "composition", a, c)
+
+
 # ------------------------------------------------------------ specialisations
 
 
@@ -390,5 +437,5 @@ def test_separation_validation():
         )
     with pytest.raises(SeparationError):
         hf.SingularityConfig(
-            (hf.Singularity(0.5, 0, 0),), min_separation=0.75
+            (hf.Singularity(0.5, 0, 0), hf.Singularity(0.3, 1.0, 0))
         )

@@ -102,11 +102,13 @@ def test_unchecked_inputs_exit_2_naming_the_key(tmp_path, capsys, key, value):
         ("alpha_re", 1e154, "C4.barnes_1"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_singularity_exponent_exits_2_naming_the_cause(
     tmp_path, capsys, field, value, cause
 ):
     # finite config values that pass every key check, but whose squares (or
-    # Barnes G terms) overflow the float expansion
+    # Barnes G terms) overflow the float expansion; the overflow must surface
+    # as the named error alone, without a numpy RuntimeWarning on the way
     path = write_config(
         tmp_path, {"singularities": [{"t": 0.2, field: value}], "n_list": [3]}
     )

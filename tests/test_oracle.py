@@ -1,5 +1,7 @@
 """Extended-precision moments and determinants against closed forms."""
 
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -307,3 +309,38 @@ def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_HEADROOM_BITS", -16)
     with pytest.raises(ConvergenceError, match="fractional bits"):
         hf.compute_moments(gue_weight(6), 6, 256)
+
+
+def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
+    # one refinement step cannot converge; the error must say where (moment
+    # index, cutoff, working bits) and by how much (bits over tolerance)
+    monkeypatch.setattr(oracle_mod, "_MAX_LEVEL", oracle_mod._START_LEVEL + 1)
+    with pytest.raises(ConvergenceError) as info:
+        hf.compute_moments(gue_weight(6), 6, 256)
+    message = str(info.value)
+    assert message.startswith(
+        f"moment quadrature stalled at level {oracle_mod._START_LEVEL + 1}: "
+    )
+    match = re.search(
+        r"moment j = (\d+) last changed by 2\^([\d.e+]+) times its tolerance "
+        r"\(cutoff X = ([\d.e+]+), (\d+) working bits\)",
+        message,
+    )
+    assert match, message
+    j, bits, X, workprec = match.groups()
+    assert 0 <= int(j) <= 10
+    assert float(bits) > 0
+    assert float(X) >= 2.0
+    assert int(workprec) == 256 + oracle_mod._GUARD_BITS
+
+
+def test_cutoff_search_failure_names_the_last_cutoff():
+    # a field growing like x^4 outweighs n V = 2 x^2: the weight is not
+    # integrable and the tail search must stop with a typed, quantified error
+    ws = hf.WeightSpec(hf.Potential.gue(), ChebSeries([0, 0, 0, 0, 1.0]),
+                       hf.SingularityConfig(), 2)
+    with pytest.raises(ConvergenceError, match=(
+        r"tail cutoff search did not terminate: at the last X = [\d.e+]+, "
+        r"x\^2 \|w\(x\)\| still exceeds its target by 2\^[\d.e+]+$"
+    )):
+        hf.oracle_log_det(ws, 256)
