@@ -236,16 +236,9 @@ def cmd_eqmeasure(cfg: ExperimentConfig):
     report = {
         "psi_coeffs": [float(c) for c in np.real(prob.measure.psi.coeffs)],
         "ell": prob.measure.ell,
+        # a list, not a tuple, keeps the CSV output as [a, b]
         "certificate": {
-            "psi_min_on_support": cert.psi_min_on_support,
-            "psi_min_location": cert.psi_min_location,
-            "psi_at_endpoints": list(cert.psi_at_endpoints),
-            "exterior_margin": cert.exterior_margin,
-            "exterior_margin_location": cert.exterior_margin_location,
-            "grid_size": cert.grid_size,
-            "exterior_grid_size": cert.exterior_grid_size,
-            "x_max": cert.x_max,
-            "tail_increasing": cert.tail_increasing,
+            **asdict(cert), "psi_at_endpoints": list(cert.psi_at_endpoints)
         },
     }
     if cfg.support != [-1.0, 1.0]:

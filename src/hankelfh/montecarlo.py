@@ -57,7 +57,9 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
     probability 1 - s_k and destroys the gap. Returns the sample mean of the
     gap indicator and its binomial standard error. With no hit at all the
     error is the one-sigma Wilson score bound 1/(samples + 1): the gap
-    probability is never exactly 0, since every s_k > 0.
+    probability is never exactly 0, since every s_k > 0. The same bound
+    applies when every sample hits while some s_k < 1, since the gap
+    probability is then below 1; only with every s_k = 1 is 1.0 exact.
     """
     if n > MAX_N:
         raise DomainError(f"Monte Carlo sampler supports n <= {MAX_N}, got {n}")
@@ -85,7 +87,7 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
         hits += int((~survivor).sum())
         done += batch
     p_hat = hits / samples
-    if hits == 0:
+    if hits == 0 or (hits == samples and any(s_k < 1.0 for *_, s_k in sectors)):
         stderr = 1.0 / (samples + 1)
     else:
         stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))

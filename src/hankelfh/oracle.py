@@ -1,32 +1,24 @@
-"""Exact reference computation of Hankel determinants in extended precision.
+"""Exact reference computation of Hankel determinants, by two routes.
 
-The moments w_j = int x^j e^{-nV(x)} e^{W(x)} omega(x) dx are evaluated with
-panel-wise tanh-sinh quadrature, the panels split at every singularity
-location so that the algebraic factors |x - t_j|^{alpha_j} sit at panel
-endpoints where the doubly-exponential transform absorbs them for any
-Re(alpha) > -1. Tails are truncated where the integrand falls below the
-precision floor; at a panel end with Re(alpha) < 0 the node enumeration runs
-correspondingly further (_floor_bits).
+The moment determinant, in extended precision: the moments
+w_j = int x^j e^{-nV(x)} e^{W(x)} omega(x) dx come from panel-wise tanh-sinh
+quadrature, the panels split at every singularity so that the factors
+|x - t_j|^{alpha_j} sit at panel endpoints, where the doubly-exponential
+transform absorbs them for any Re(alpha) > -1. Tails are truncated where the
+integrand falls below the precision floor; at a panel end with
+Re(alpha) < 0 the node enumeration runs correspondingly further
+(_floor_bits). The moment sums are Python integers in fixed point, split by
+panel and by the sign of x, with fractional bits from a written rounding
+bound (_fraction_bits). A pivoted triangular factorisation in mpmath gives
+the determinant. Hankel moment matrices are exponentially ill-conditioned in
+n, hence the default working precision of max(256, 48 n) bits; the factor is
+validated by the precision-robustness tests rather than assumed.
 
-The moment sums are Python integers in fixed point with G fractional bits:
-per node, q |w(x)| and |x| are truncated to integers once and x^j q |w(x)|
-follows by integer multiply and shift. G comes from a written bound
-(_fraction_bits): the truncation error, amplified by X^j through that
-recursion, must stay below the rounding bound of mpf sums at the working
-precision. It is judged from the first level's sums plus spare bits and
-checked again on the converged sums; a miss raises ConvergenceError. Sums
-are split by panel and by the sign of x, which gives the tolerance scale
-sum q |w| |x|^j exactly; each panel's constant jump phase multiplies its
-sums once, and only complex alpha adds per-node cos/sin sums. Everything
-becomes mpf only at each level's convergence test.
-
-Determinants come from a pivoted triangular factorisation
-carried in mpmath arithmetic; for positive weights an independent
-orthogonal-polynomial (Stieltjes) recurrence provides a second route.
-
-Hankel moment matrices are exponentially ill-conditioned in n, hence the
-default working precision of max(256, 48 n) bits; the factor is validated by
-the precision-robustness tests rather than assumed.
+The orthogonal-polynomial recurrence, in float64 for positive weights: the
+Stieltjes procedure on one Gauss-Jacobi panel per interval between -X, the
+t_j and X, the Jacobi weight carrying the ends' |x - t_j|^alpha_j; 2N nodes
+per panel must reproduce the value at N = 8n + 200 to 1e-10. It shares no
+nodes, cutoff or arithmetic with the moment route: each checks the other.
 """
 
 from __future__ import annotations
@@ -40,6 +32,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import to_fixed
 from numpy.polynomial import chebyshev as npcheb
+from scipy.special import betaln
 
 from .equilibrium import Potential
 from .errors import (
@@ -58,6 +51,8 @@ _START_LEVEL = 3
 _MAX_LEVEL = 11
 # spare fractional bits of the fixed-point moment sums (see _fraction_bits)
 _HEADROOM_BITS = 32
+_FLOAT_BITS = 53  # the recurrence route runs in float64
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def default_precision_bits(n):
@@ -87,6 +82,10 @@ class WeightSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
+        for s in self.cfg:
+            if math.pi * abs(s.beta.imag) > _LOG_FLOAT_MAX:
+                raise DomainError(f"singularity at t = {s.t}: its jump factor e^(pi "
+                                  f"|Im beta|) overflows a float (beta = {s.beta})")
         object.__setattr__(self, "W", as_field(self.W))
 
     @property
@@ -105,6 +104,8 @@ class HankelResult:
     mpmath value. ``converged`` records whether a recomputation at half the
     working precision reproduced log_abs to 1e-8. A determinant that is
     exactly zero is reported with is_zero=True rather than as an error.
+    The float64 recurrence route reports precision_bits = 53 and
+    log_abs_hp = None, and returns only once its node-doubling check passes.
     """
 
     log_abs: float
@@ -123,6 +124,23 @@ def _clenshaw_cheb(coeffs, x):
     for c in coeffs[:0:-1]:
         b1, b2 = 2 * x * b1 - b2 + c, b1
     return x * b1 - b2 + coeffs[0]
+
+
+def _panel_jump(sings, p):
+    """e^{i pi jump} is the jump factor on panel p (from t_{p-1} to t_p, with
+    -X and X): each t_j left of it gives e^{-i pi beta_j}, the rest e^{+i pi beta_j}."""
+    return sum(s.beta for s in sings[p:]) - sum(s.beta for s in sings[:p])
+
+
+def _log_abs_weight(ws, x, skip=()):
+    """log |w(x)| without the jump factors, vectorised in float64:
+    -n V(x) + W(x) + sum_j Re(alpha_j) log|x - t_j| over the singularities
+    whose index is not in ``skip``. x must avoid the remaining t_j."""
+    e = -ws.n * ws.V(x) + npcheb.chebval(x, ws.W.coeffs)
+    for j, s in enumerate(ws.cfg):
+        if j not in skip:
+            e = e + s.alpha.real * np.log(np.abs(x - s.t))
+    return e
 
 
 class _WeightEvaluator:
@@ -153,19 +171,12 @@ class _WeightEvaluator:
 
     def panel_constants(self, panel_index):
         """((left singularity index, right singularity index, log of the jump
-        modulus), jump phase) on one panel.
-
-        In the panel between t_p and t_{p+1} every singularity with index
-        <= p lies left of x and contributes e^{-i pi beta}; the rest
-        contribute e^{+i pi beta}. Their product is the panel's constant
-        e^{jump_re + i jump_im}.
-        """
+        modulus), jump phase) on one panel: its constant jump factor is
+        e^{jump_re + i jump_im} (see _panel_jump)."""
         m = len(self.sings)
         left = panel_index - 1 if panel_index >= 1 else None
         right = panel_index if panel_index < m else None
-        jump = sum((s.beta for s in self.sings[panel_index:]), 0j) - sum(
-            (s.beta for s in self.sings[:panel_index]), 0j
-        )
+        jump = _panel_jump(self.sings, panel_index)
         jump_re = -mp.pi * mp.mpf(jump.imag)
         jump_im = mp.pi * mp.mpf(jump.real)
         return (left, right, jump_re), jump_im
@@ -248,27 +259,23 @@ def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
 def _find_cutoff(ws, max_power, precision_bits):
     """Half-width X beyond which x^max_power * w(x) is below the precision
     floor relative to the integrand's peak (float estimate; V dominates)."""
-    V, W, cfg, n = ws.V, ws.W, ws.cfg, ws.n
-    ts = {s.t for s in cfg}
 
     def exponent(x):
-        e = -n * V(x) + float(npcheb.chebval(x, W.coeffs))
-        for s in cfg:
-            if x != s.t:
-                e += s.alpha.real * np.log(abs(x - s.t))
-        if x != 0.0:
-            e += max_power * np.log(abs(x))
-        return e
+        return _log_abs_weight(ws, x) + max_power * np.log(
+            np.abs(x), out=np.zeros_like(x), where=x != 0.0)
 
     grid = np.linspace(-1.5, 1.5, 201)
-    peak = max(exponent(float(x)) for x in grid if float(x) not in ts)
+    for s in ws.cfg:  # skip t_j, and half a step around it where |w| blows up
+        grid = grid[np.abs(grid - s.t) > (0.0075 if s.alpha.real < 0 else 0.0)]
+    peak = exponent(grid).max()
     target = peak - (precision_bits + _GUARD_BITS) * np.log(2.0)
-    X = max(2.0, 1.0 + max((abs(s.t) for s in cfg), default=0.0))
+    X = max(2.0, 1.0 + max((abs(s.t) for s in ws.cfg), default=0.0))
     for _ in range(400):
-        if exponent(X) < target and exponent(-X) < target:
+        tails = exponent(np.array([X, -X]))
+        if tails.max() < target:
             return X
         last, X = X, X * 1.25
-    excess = (max(exponent(last), exponent(-last)) - target) / np.log(2.0)
+    excess = (tails.max() - target) / np.log(2.0)
     raise ConvergenceError(
         f"tail cutoff search did not terminate: at the last X = {last:.6g}, "
         f"x^{max_power} |w(x)| still exceeds its target by 2^{excess:.4g}"
@@ -349,23 +356,30 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec):
     )
 
 
-def _quadrature(ws, count, precision_bits, keep_nodes=False):
-    """All moments w_0 .. w_{2 count - 2} by progressive tanh-sinh panels.
+def _nodes(level, only_odd, panels, evaluator, workprec):
+    """Tanh-sinh nodes of one level on every panel, as (panel index, x,
+    q |w(x)|, theta), with q the node's transform weight times the panel's
+    half-width (the step h = 2^-level is applied to the sums)."""
+    for p, (mid, half, consts, ends) in enumerate(panels):
+        for u, um, up, w in _tanh_sinh_nodes(level, only_odd, workprec, *ends):
+            x = mid + half * u
+            mod, theta = evaluator.value(x, half * up, half * um, consts)
+            yield p, x, half * w * mod, theta
+
+
+def compute_moments(ws, count, precision_bits):
+    """Moments w_0 .. w_{2 count - 2} by progressive tanh-sinh panels, in
+    mpmath arithmetic at precision_bits >= 128 plus 64 guard bits.
 
     Refinement doubles the node density until every moment is stable
     relative to its absolute-value integral (the scale at which the
-    determinant feels cancellation). Raises ConvergenceError if the level
-    cap is hit first, or if the fixed-point sums could not meet their
-    rounding bound. With keep_nodes=True also returns the converged discrete
-    measure as node and weighted-value lists (x_i, q_i w(x_i)).
-
-    The sums are Python integers in units of 2^-G (see _fraction_bits): each
-    node adds floor(q |w(x)| |x|^j 2^G), by integer multiply and shift, to
-    its panel's sums for x >= 0 or x < 0. The panel's sums of q |w| x^j are
-    then S+_j + (-1)^j S-_j and those of q |w| |x|^j (the tolerance scale)
-    S+_j + S-_j. Each panel's constant jump phase multiplies its sums once
-    per level; only complex alpha adds per-node sums of q |w| cos(theta)
-    and q |w| sin(theta).
+    determinant feels cancellation); ConvergenceError if the level cap is
+    hit first or the fixed-point sums miss their rounding bound. Each node
+    adds floor(q |w(x)| |x|^j 2^G) (see _fraction_bits) to its panel's
+    integer sums for x >= 0 or x < 0, S+_j and S-_j: then sum q |w| x^j =
+    S+_j + (-1)^j S-_j and the tolerance scale sum q |w| |x|^j = S+_j + S-_j.
+    A panel's constant jump phase multiplies its sums once per level; only
+    complex alpha adds per-node sums of q |w| cos(theta), q |w| sin(theta).
     """
     if precision_bits < 128:
         raise DomainError("precision_bits must be >= 128")
@@ -379,32 +393,19 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
         evaluator = _WeightEvaluator(ws)
         sings = list(ws.cfg)
         bounds = [mp.mpf(-X)] + [mp.mpf(s.t) for s in sings] + [mp.mpf(X)]
-        panels, phases = [], []
+        panels, units = [], []
         for p in range(len(bounds) - 1):
             a, b = bounds[p], bounds[p + 1]
             consts, jump_im = evaluator.panel_constants(p)
-            left, right, _ = consts
-            ends = (
-                _floor_bits(workprec, None if left is None else sings[left]),
-                _floor_bits(workprec, None if right is None else sings[right]),
-            )
+            ends = tuple(_floor_bits(workprec, None if i is None else sings[i])
+                         for i in consts[:2])
             panels.append(((a + b) / 2, (b - a) / 2, consts, ends))
-            phases.append(jump_im)
-        units = None if ws.is_positive else [mp.expj(p) for p in phases]
+            units.append(mp.expj(jump_im))
         n_parts = 3 if evaluator.complex_alpha else 1
         # acc[panel][x < 0][part][j]; parts: q|w|, q|w| cos(theta), q|w| sin(theta)
-        acc = [
-            [[[0] * n_mom for _ in range(n_parts)] for _ in range(2)] for _ in panels
-        ]
+        acc = [[[[0] * n_mom for _ in range(n_parts)] for _ in range(2)]
+               for _ in panels]
         a_max = 0
-        xs, ds = [], []
-
-        def nodes(level, only_odd):
-            for p, (mid, half, consts, ends) in enumerate(panels):
-                for u, um, up, w in _tanh_sinh_nodes(level, only_odd, workprec, *ends):
-                    x = mid + half * u
-                    mod, theta = evaluator.value(x, half * up, half * um, consts)
-                    yield p, x, half * w * mod, theta
 
         def accumulate(points, G):
             nonlocal a_max
@@ -418,11 +419,6 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                     c, s = mp.cos_sin(theta)
                     _add_powers(parts[1], to_fixed((m * c)._mpf_, G), xi, G)
                     _add_powers(parts[2], to_fixed((m * s)._mpf_, G), xi, G)
-                if keep_nodes:
-                    xs.append(x)
-                    if units is not None:
-                        m = m * units[p] * (1 if theta is None else mp.expj(theta))
-                    ds.append(m)
 
         def level_sums(level, G):
             """h-scaled moments of the nodes so far, and their integer sums of
@@ -440,7 +436,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                 signed = [[pos[j] + sign * neg[j] for pos, neg in zip(*sides)]
                           for sides in acc]
                 abs_sums.append(sum(pos[0][j] + neg[0][j] for pos, neg in acc))
-                if units is None:
+                if ws.is_positive:
                     moments.append(mp.mpf((sum(parts[0] for parts in signed), e)))
                 else:
                     moments.append(sum(
@@ -449,7 +445,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                     ))
             return moments, abs_sums
 
-        start = list(nodes(_START_LEVEL, only_odd=False))
+        start = list(_nodes(_START_LEVEL, False, panels, evaluator, workprec))
         log2_t, log2_m_max = _estimate_abs_sums(start, n_mom)
         G = _HEADROOM_BITS + math.ceil(
             _fraction_bits(workprec, n_mom, X, log2_t, log2_m_max)
@@ -459,7 +455,7 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
         level = _START_LEVEL
         while True:
             level += 1
-            accumulate(nodes(level, only_odd=True), G)
+            accumulate(_nodes(level, True, panels, evaluator, workprec), G)
             cur, abs_sums = level_sums(level, G)
             # |change| <= 2^-(precision_bits + 16) times the h-scaled abs sum
             tol_exp = -(G + level + precision_bits + 16)
@@ -472,30 +468,14 @@ def _quadrature(ws, count, precision_bits, keep_nodes=False):
                 )
             prev = cur
 
-        need = _fraction_bits(
-            workprec, n_mom, X,
-            [math.log2(t) - G if t else -math.inf for t in abs_sums],
-            math.log2(a_max + 1) - G,
-        )
+        log2_t = [math.log2(t) - G if t else -math.inf for t in abs_sums]
+        need = _fraction_bits(workprec, n_mom, X, log2_t, math.log2(a_max + 1) - G)
         if G < need:
             raise ConvergenceError(
                 f"fixed-point moment sums carry {G} fractional bits; their "
                 f"rounding bound needs {math.ceil(need)}"
             )
-        h = mp.mpf(1) / (1 << level)
-        if keep_nodes:
-            return cur, (xs, [h * d for d in ds])
-        return cur, None
-
-
-def compute_moments(ws, count, precision_bits):
-    """Moments w_0 .. w_{2 count - 2} of the weight, in mpmath arithmetic.
-
-    precision_bits must be at least 128; the working precision carries an
-    extra guard of 64 bits.
-    """
-    moments, _ = _quadrature(ws, count, precision_bits)
-    return moments
+        return cur
 
 
 def hankel_log_det(moments, k, precision_bits):
@@ -541,27 +521,13 @@ def hankel_log_det(moments, k, precision_bits):
     work = precision_bits + _GUARD_BITS
     log_abs, phase = factor(work)
     if log_abs is None:
-        return HankelResult(
-            log_abs=float("-inf"),
-            phase=0.0,
-            n=k,
-            precision_bits=precision_bits,
-            method=MOMENT_DETERMINANT,
-            converged=True,
-            is_zero=True,
-        )
+        return HankelResult(float("-inf"), 0.0, k, precision_bits,
+                            MOMENT_DETERMINANT, is_zero=True)
     half_log_abs, _ = factor(max(128, work // 2))
     converged = half_log_abs is not None and abs(float(log_abs - half_log_abs)) <= 1e-8
-    return HankelResult(
-        log_abs=float(log_abs),
-        phase=wrap_phase(float(phase)),
-        n=k,
-        precision_bits=precision_bits,
-        method=MOMENT_DETERMINANT,
-        converged=bool(converged),
-        is_zero=False,
-        log_abs_hp=log_abs,
-    )
+    return HankelResult(float(log_abs), wrap_phase(float(phase)), k,
+                        precision_bits, MOMENT_DETERMINANT,
+                        converged=bool(converged), log_abs_hp=log_abs)
 
 
 def oracle_log_det(ws, precision_bits=None):
@@ -571,52 +537,84 @@ def oracle_log_det(ws, precision_bits=None):
     return hankel_log_det(moments, ws.n, pb)
 
 
-def op_recurrence_log_det(ws, precision_bits=None):
-    """log D_n as the product of squared norms from the Stieltjes procedure.
+def _gauss_jacobi(N, a, b):
+    """N-point Gauss rule for (1-u)^a (1+u)^b on (-1, 1): nodes, log-weights.
 
-    Restricted to positive weights (all alpha real, all beta purely
-    imaginary), where the discretised three-term recurrence is numerically
-    stable. Serves as an independent cross-check of the moment-determinant
-    path.
-    """
+    Jacobi-matrix eigenvalues polished by Newton steps on the orthonormal p_N
+    in long double, and Christoffel weights mu_0 / sum_k p_k^2. The weights
+    near an end with a or b near -1 hinge on the node's distance to it, which
+    float64 resolves to ~1e-16 N^2 (roots_jacobi: 3e-8 in log D_12 at -0.9)."""
+    a, b = np.longdouble(a), np.longdouble(b)
+    k = np.arange(1, N + 1, dtype=np.longdouble)
+    s = 2 * k + a + b
+    diag = np.append((b - a) / (a + b + 2), (b * b - a * a) / (s * (s + 2)))
+    ratio = np.append(1, k[1:] * (k[1:] + a + b) / (s[1:] - 1))
+    off = 2 / s * np.sqrt((k + a) * (k + b) / (s + 1) * ratio)
+    T = np.diag(diag[:N].astype(float))
+    T[range(N - 1), range(1, N)] = off[:-1]
+    u = np.linalg.eigvalsh(T, UPLO="U").astype(np.longdouble)
+    for _ in range(2):  # the weights come from the last pass's nodes x
+        p_prev, p, dp_prev, dp, total = 0, 1, 0, 0, 0
+        for j in range(N):
+            total, c, lag = total + p * p, u - diag[j], off[j - 1] if j else 0
+            dp_prev, dp = dp, (p + c * dp - lag * dp_prev) / off[j]
+            p_prev, p = p, (c * p - lag * p_prev) / off[j]
+        u, x = u - p / dp, u
+    log_mu0 = (a + b + 1) * np.log(2.0) + betaln(float(a) + 1, float(b) + 1)
+    return x.astype(float), (log_mu0 - np.log(total)).astype(float)
+
+
+def _recurrence_log_det(ws, X, N):
+    """log D_n of |w| on one N-point Gauss-Jacobi panel per interval between
+    -X, the t_j and X (the Jacobi weight carries the ends' |x - t|^alpha), by
+    the Stieltjes procedure on orthonormal polynomials, weights shifted by
+    their maximum: log D_n = n log h_0 + sum_k 2(n - k) log b_k."""
+    n, sings = ws.n, list(ws.cfg)
+    bounds = [-X] + [s.t for s in sings] + [X]
+    xs, logs = [], []
+    for p in range(len(bounds) - 1):
+        alpha_left = sings[p - 1].alpha.real if p > 0 else 0.0
+        alpha_right = sings[p].alpha.real if p < len(sings) else 0.0
+        u, log_q = _gauss_jacobi(N, alpha_right, alpha_left)
+        half = (bounds[p + 1] - bounds[p]) / 2
+        xs.append(bounds[p] + half * (1 + u))
+        logs.append(
+            _log_abs_weight(ws, xs[-1], skip=(p - 1, p)) + log_q
+            + (1 + alpha_left + alpha_right) * np.log(half)
+            - np.pi * _panel_jump(sings, p).imag
+        )
+    x, log_w = np.concatenate(xs), np.concatenate(logs)
+    d = np.exp(log_w - log_w.max())
+    log_det = n * (np.log(d.sum()) + log_w.max())
+    q_prev, q, b = 0.0, np.full_like(x, 1 / np.sqrt(d.sum())), 0.0
+    for k in range(1, n):
+        r = (x - np.dot(d * q, x * q)) * q - b * q_prev
+        b = np.sqrt(np.dot(d * r, r))
+        if not b > 0:
+            raise ConvergenceError(f"squared norm h_{k} not positive")
+        log_det += 2 * (n - k) * np.log(b)
+        q_prev, q = q, r / b
+    return float(log_det)
+
+
+def op_recurrence_log_det(ws):
+    """log D_n of a positive weight (alpha real, beta purely imaginary) by the
+    Stieltjes procedure on a float64 Gauss-Jacobi discretisation, sharing no
+    nodes, cutoff or arithmetic with the moment determinant. The value at
+    N = 8n + 200 nodes per panel is returned once 2N nodes reproduce it to
+    1e-10; otherwise ConvergenceError names both."""
     if not ws.is_positive:
-        raise PositivityError(
-            "orthogonal-polynomial recurrence requires a positive weight "
-            "(real alpha, purely imaginary beta)"
+        raise PositivityError("orthogonal-polynomial recurrence requires a "
+                              "positive weight (real alpha, purely imaginary beta)")
+    n, N = ws.n, 8 * ws.n + 200
+    X = _find_cutoff(ws, 2 * n - 2, _FLOAT_BITS)
+    coarse, fine = (_recurrence_log_det(ws, X, m) for m in (N, 2 * N))
+    if not abs(coarse - fine) <= 1e-10:
+        raise ConvergenceError(
+            f"Gauss-Jacobi recurrence unresolved: log D_{n} = {coarse!r} at "
+            f"{N} nodes per panel, {fine!r} at {2 * N}"
         )
-    pb = default_precision_bits(ws.n) if precision_bits is None else precision_bits
-    _, (xs, ds) = _quadrature(ws, ws.n, pb, keep_nodes=True)
-    n = ws.n
-    with mp.workprec(pb + _GUARD_BITS):
-        p_prev = [mp.mpf(0)] * len(xs)
-        p_cur = [mp.mpf(1)] * len(xs)
-        log_det = mp.mpf(0)
-        h_prev = None
-        for kk in range(n):
-            h_k = mp.fsum(d * p * p for d, p in zip(ds, p_cur))
-            if h_k <= 0:
-                raise ConvergenceError(
-                    f"squared norm h_{kk} not positive; discretisation too coarse"
-                )
-            log_det += mp.log(h_k)
-            if kk == n - 1:
-                break
-            a_k = mp.fsum(d * x * p * p for d, x, p in zip(ds, xs, p_cur)) / h_k
-            b_k = h_k / h_prev if h_prev is not None else mp.mpf(0)
-            p_next = [
-                (x - a_k) * pc - b_k * pp for x, pc, pp in zip(xs, p_cur, p_prev)
-            ]
-            p_prev, p_cur, h_prev = p_cur, p_next, h_k
-        return HankelResult(
-            log_abs=float(log_det),
-            phase=0.0,
-            n=n,
-            precision_bits=pb,
-            method=OP_RECURRENCE,
-            converged=True,
-            is_zero=False,
-            log_abs_hp=log_det,
-        )
+    return HankelResult(coarse, 0.0, n, _FLOAT_BITS, OP_RECURRENCE)
 
 
 def log_det_ratio(ws_num, ws_den, precision_bits=None):

@@ -251,7 +251,7 @@ def test_A8_invariant_suites(gue_potential, gue_measure, quartic_problem):
         r1 = hf.oracle_log_det(ws, 256)
         r2 = hf.oracle_log_det(ws, 512)
         assert abs(r1.log_abs - r2.log_abs) < 1e-10
-        r3 = hf.op_recurrence_log_det(ws, 256)
+        r3 = hf.op_recurrence_log_det(ws)
         assert abs(r1.log_abs - r3.log_abs) < 1e-10
         assert r1.phase == 0.0 and r3.phase == 0.0
 

@@ -108,14 +108,20 @@ def test_huge_singularity_exponent_exits_2_naming_the_cause(
 ):
     # finite config values that pass every key check, but whose squares (or
     # Barnes G terms) overflow the float expansion; the overflow must surface
-    # as the named error alone, without a numpy RuntimeWarning on the way
+    # as the named error alone, without a numpy RuntimeWarning on the way.
+    # The oracle computes no expansion: there the jump factor e^(pi |Im beta|)
+    # is what overflows, and the error names beta
     path = write_config(
         tmp_path, {"singularities": [{"t": 0.2, field: value}], "n_list": [3]}
     )
-    code, out, err = run_cli(capsys, "predict", "--config", path)
-    assert code == 2
-    assert out == ""
-    assert cause in err
+    runs = [("predict", cause)]
+    if field == "beta_im":
+        runs.append(("oracle", f"overflows a float (beta = {complex(0, value)})"))
+    for command, expected in runs:
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert code == 2, command
+        assert out == ""
+        assert expected in err
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ def test_removal_probability_one_everywhere():
     spec = hf.ThinningSpec((0.0,), {1: 1.0, 2: 1.0})
     est = hf.mc_gap_probability(spec, 4, 10_000, seed=1)
     assert est.estimate == 1.0
+    assert est.stderr == 0.0
 
 
 def test_deterministic_given_seed():
@@ -64,6 +65,18 @@ def test_zero_hits_report_a_nonzero_stderr(gue_potential, gue_measure):
     assert est.stderr > 0.0
     pred = np.exp(hf.gap_probability_log(gue_potential, gue_measure, spec, 30).value)
     assert abs(est.estimate - pred) < 3.0 * est.stderr
+
+
+def test_all_hits_report_a_nonzero_stderr(gue_potential):
+    # the gap probability is 0.9999964: every sample hits the gap, yet 1.0 is
+    # not certain while a thinned sector keeps eigenvalues with probability
+    # 1 - s_k > 0
+    spec = hf.ThinningSpec((0.95,), {2: 0.9999})
+    est = hf.mc_gap_probability(spec, 2, 20_000, seed=7)
+    assert est.estimate == 1.0
+    assert est.stderr > 0.0
+    exact = np.exp(hf.gap_probability_log_exact(gue_potential, spec, 2))
+    assert abs(est.estimate - exact) < 3.0 * est.stderr
 
 
 def test_validation():

@@ -5,6 +5,8 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hankelfh as hf
 from hankelfh.chebyshev import ChebSeries
@@ -12,6 +14,7 @@ import hankelfh.oracle as oracle_mod
 from hankelfh.errors import (
     ConvergenceError,
     DomainError,
+    HankelFHError,
     PositivityError,
     ZeroDeterminantError,
 )
@@ -69,8 +72,6 @@ def test_moment_with_root_singularity_at_origin():
 def test_moments_precision_validation():
     with pytest.raises(DomainError):
         hf.compute_moments(gue_weight(1), 2, 64)
-    with pytest.raises(DomainError):
-        hf.op_recurrence_log_det(gue_weight(1), 64)
 
 
 # ------------------------------------------------------------ hankel_log_det
@@ -115,7 +116,7 @@ def test_moment_count_validation():
 
 def test_method_agreement_gue():
     a = hf.oracle_log_det(gue_weight(4), 256)
-    b = hf.op_recurrence_log_det(gue_weight(4), 256)
+    b = hf.op_recurrence_log_det(gue_weight(4))
     assert b.method == OP_RECURRENCE
     assert abs(a.log_abs - b.log_abs) < 1e-10
     assert abs(b.log_abs - hf.gue_exact_log(4)) < 1e-12
@@ -125,7 +126,7 @@ def test_method_agreement_with_root_singularities():
     cfg = hf.SingularityConfig((hf.Singularity(0.3, 2.0, 0.0),))
     ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 6)
     a = hf.oracle_log_det(ws, 384)
-    b = hf.op_recurrence_log_det(ws, 384)
+    b = hf.op_recurrence_log_det(ws)
     assert abs(a.log_abs - b.log_abs) < 1e-10
 
 
@@ -137,13 +138,86 @@ def test_method_agreement_moderate_n():
     assert abs(a.log_abs - b.log_abs) < 1e-10
 
 
+def test_recurrence_sees_under_resolved_moments(monkeypatch):
+    # a moment-route cutoff of 1.2 drops about 4e-3 of log D_4 while the
+    # half-precision recheck still reports converged; the recurrence keeps its
+    # own cutoff and nodes, so the two routes must now disagree
+    find_cutoff = oracle_mod._find_cutoff
+
+    def short_cutoff(ws, max_power, precision_bits):
+        if precision_bits >= 128:
+            return 1.2
+        return find_cutoff(ws, max_power, precision_bits)
+
+    monkeypatch.setattr(oracle_mod, "_find_cutoff", short_cutoff)
+    a = hf.oracle_log_det(gue_weight(4))
+    b = hf.op_recurrence_log_det(gue_weight(4))
+    assert a.converged
+    assert abs(a.log_abs - b.log_abs) > 1e-6
+    assert abs(b.log_abs - hf.gue_exact_log(4)) < 1e-12
+
+
 def test_recurrence_requires_positive_weight():
     # a real beta makes the jump factor e^{+-i pi beta} complex
     cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1),))
     with pytest.raises(PositivityError):
-        hf.op_recurrence_log_det(
-            hf.WeightSpec(hf.Potential.gue(), None, cfg, 3), 256
-        )
+        hf.op_recurrence_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 3))
+
+
+@st.composite
+def positive_weights(draw, max_n):
+    """A positive weight: the Gaussian potential or an even quartic with
+    support [-1, 1], a 4-term field (no T_3 term under the Gaussian, where
+    e^W would outgrow e^{-nV}), 1-3 singularities in [-0.9, 0.9] at least
+    0.05 apart with real alpha in (-1, 3] and beta = i c, |c| <= 0.3, and
+    n <= max_n."""
+    c4 = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+    V = hf.Potential([0.0, 0.0, 2.0 - 1.5 * c4, 0.0, c4])
+    w = draw(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+    W = ChebSeries(w[:3] + [w[3] if c4 else 0.0])
+    ts = sorted(draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3)))
+    assume(all(b - a >= 0.05 for a, b in zip(ts, ts[1:])))
+    sings = tuple(
+        hf.Singularity(t, draw(st.floats(-1.0, 3.0, exclude_min=True)),
+                       1j * draw(st.floats(-0.3, 0.3)))
+        for t in ts
+    )
+    return hf.WeightSpec(V, W, hf.SingularityConfig(sings), draw(st.integers(1, max_n)))
+
+
+def reflected(ws):
+    """x -> -x: (W(x), t, alpha, beta) -> (W(-x), -t, alpha, -beta), which
+    leaves D_n of an even V unchanged."""
+    W = ChebSeries(ws.W.coeffs * (-1.0) ** np.arange(len(ws.W.coeffs)))
+    cfg = hf.SingularityConfig(tuple(
+        hf.Singularity(-s.t, s.alpha, -s.beta) for s in reversed(ws.cfg.singularities)
+    ))
+    return hf.WeightSpec(ws.V, W, cfg, ws.n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_weights(max_n=12))
+def test_recurrence_over_the_positive_domain(ws):
+    # a finite, reflection-invariant value or a typed error (such as an
+    # unresolved discretisation), never anything else
+    try:
+        value = hf.op_recurrence_log_det(ws).log_abs
+    except HankelFHError:
+        return
+    assert np.isfinite(value)
+    assert abs(hf.op_recurrence_log_det(reflected(ws)).log_abs - value) <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(positive_weights(max_n=3))
+def test_recurrence_matches_moment_determinant_over_the_positive_domain(ws):
+    try:
+        value = hf.op_recurrence_log_det(ws).log_abs
+    except HankelFHError:  # a typed refusal, allowed by the test above
+        return
+    det = hf.oracle_log_det(ws, 256)
+    assert det.converged
+    assert abs(value - det.log_abs) <= 1e-10
 
 
 # ------------------------------------------------------------------ invariants
@@ -186,7 +260,7 @@ def test_jump_weight_with_imaginary_beta_is_positive():
     assert ws.is_positive
     res = hf.oracle_log_det(ws, 256)
     assert res.phase == 0.0
-    rec = hf.op_recurrence_log_det(ws, 256)
+    rec = hf.op_recurrence_log_det(ws)
     assert abs(res.log_abs - rec.log_abs) < 1e-10
 
 
@@ -260,22 +334,38 @@ def test_negative_alpha_converges_at_default_precision(alpha, reference):
 # ------------------------------------------- fixed-point moment accumulation
 
 
-def mpf_reference_moments(ws, count, precision_bits):
+def mpf_reference_moments(monkeypatch, ws, count, precision_bits):
     """compute_moments' result with plain mpf sums of q w(x) x^j, and of
-    q |w(x)| |x|^j (the tolerance scale), over the same converged nodes."""
-    moments, (xs, ds) = oracle_mod._quadrature(
-        ws, count, precision_bits, keep_nodes=True
-    )
+    q |w(x)| |x|^j (the tolerance scale), over the same converged nodes,
+    which a spy on the node generator records."""
+    levels, points = [], []
+    generate = oracle_mod._nodes
+
+    def spy(level, *args):
+        levels.append(level)
+        for point in generate(level, *args):
+            points.append(point)
+            yield point
+
+    monkeypatch.setattr(oracle_mod, "_nodes", spy)
+    moments = hf.compute_moments(ws, count, precision_bits)
     n_mom = 2 * count - 1
     with mp.workprec(precision_bits + oracle_mod._GUARD_BITS):
+        evaluator = oracle_mod._WeightEvaluator(ws)
+        units = [mp.expj(evaluator.panel_constants(p)[1])
+                 for p in range(len(ws.cfg) + 1)]
+        h = mp.mpf(2) ** -max(levels)
         sums = [mp.mpf(0)] * n_mom
         abs_sums = [mp.mpf(0)] * n_mom
-        for x, d in zip(xs, ds):
-            p, ap, ax = d, abs(d), abs(x)
+        for p, x, m, theta in points:
+            d = h * m
+            if not ws.is_positive:
+                d *= units[p] * (1 if theta is None else mp.expj(theta))
+            ap, ax = abs(d), abs(x)
             for j in range(n_mom):
-                sums[j] += p
+                sums[j] += d
                 abs_sums[j] += ap
-                p *= x
+                d *= x
                 ap *= ax
     return moments, sums, abs_sums
 
@@ -292,10 +382,12 @@ def mpf_reference_moments(ws, count, precision_bits):
     ],
     ids=["positive-n24", "complex-beta-pair", "complex-alpha"],
 )
-def test_integer_moments_match_mpf_sums(sings, n, precision_bits):
+def test_integer_moments_match_mpf_sums(monkeypatch, sings, n, precision_bits):
     cfg = hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings))
     ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, n)
-    moments, sums, abs_sums = mpf_reference_moments(ws, n, precision_bits)
+    moments, sums, abs_sums = mpf_reference_moments(
+        monkeypatch, ws, n, precision_bits
+    )
     assert {type(m) for m in moments} == {mp.mpf if ws.is_positive else mp.mpc}
     rel_tol = mp.mpf(2) ** -(precision_bits + 16)
     for m, s, a in zip(moments, sums, abs_sums):
