@@ -31,7 +31,6 @@ from .errors import (
     RegularityError,
     SeparationError,
     SupportError,
-    ZeroDeterminantError,
 )
 from .montecarlo import McEstimate, mc_gap_probability
 from .oracle import (
@@ -40,7 +39,6 @@ from .oracle import (
     compute_moments,
     default_precision_bits,
     hankel_log_det,
-    log_det_ratio,
     op_recurrence_log_det,
     oracle_log_det,
 )

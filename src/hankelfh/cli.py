@@ -74,14 +74,17 @@ def _floats(v):
     return [float(x) for x in v]
 
 
-def _key(check, valid, convert, **default):
+def _key(check, valid, convert, flag=None, **default):
     """Declare a config key on its ExperimentConfig field.
 
     ``check`` tests the JSON value, ``valid`` says in the error what a valid
     value is, ``convert`` makes the field's value from it, and ``default`` is
     the field's default or default_factory (without one the key is required).
+    ``flag`` = (name, add_argument keywords) declares the command-line flag
+    that overrides the key; a "parse" keyword turns the flag's string into
+    the JSON value after argparse has read it.
     """
-    meta = {"check": check, "valid": valid, "convert": convert}
+    meta = {"check": check, "valid": valid, "convert": convert, "flag": flag}
     return field(metadata=meta, **default)
 
 
@@ -91,10 +94,18 @@ def _numbers_key():
     )
 
 
-def _count_key():
+def _count_key(flag, helptext):
     return _key(
-        lambda v: _is_int(v) and v >= 0, "a non-negative integer", int, default=0
+        lambda v: _is_int(v) and v >= 0, "a non-negative integer", int,
+        flag=(flag, {"type": int, "help": helptext}), default=0,
     )
+
+
+def _int_list(text):
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError("--n needs a comma-separated integer list")
 
 
 @dataclass
@@ -120,13 +131,15 @@ class ExperimentConfig:
     n_list: list = _key(
         _list_of(lambda x: _is_int(x) and x >= 1), "a list of integers >= 1",
         lambda v: sorted(set(v)), default_factory=list,
+        flag=("--n", {"help": "comma-separated list of matrix sizes", "parse": _int_list}),
     )
-    precision_bits: int = _count_key()
+    precision_bits: int = _count_key("--precision", "oracle precision bits")
     output_format: str = _key(
-        lambda v: v in ("json", "csv"), "'json' or 'csv'", str, default="json"
+        lambda v: v in ("json", "csv"), "'json' or 'csv'", str, default="json",
+        flag=("--format", {"choices": ("json", "csv"), "help": "output format"}),
     )
-    seed: int = _count_key()
-    mc_samples: int = _count_key()
+    seed: int = _count_key("--seed", "RNG seed")
+    mc_samples: int = _count_key("--mc-samples", "Monte Carlo samples")
     thinning_boundaries: list = _numbers_key()
     thinning_sectors: list = _key(
         lambda v: _list_of(_is_int)(v) and len(set(v)) == len(v),
@@ -368,9 +381,15 @@ def cmd_compare(cfg: ExperimentConfig):
 
 
 def cmd_thinning(cfg: ExperimentConfig):
+    a, b = cfg.support
+    _require(
+        all(a < t < b for t in cfg.thinning_boundaries),
+        "thinning_boundaries",
+        f"needs points inside the support ({a}, {b})",
+    )
     prob = _build_problem(cfg)
     spec = ThinningSpec(
-        tuple(cfg.thinning_boundaries),
+        tuple(map(prob.rescaled.to_unit, cfg.thinning_boundaries)),
         dict(zip(cfg.thinning_sectors, cfg.thinning_s)),
     )
     is_gaussian = prob.V.degree == 2 and np.allclose(prob.V.coeffs, [0.0, 0.0, 2.0])
@@ -450,6 +469,15 @@ def _emit(result, cfg, out_path):
 # --------------------------------------------------------------------- main
 
 
+def _flags():
+    """(config key, flag, add_argument keywords, parse) of each flag."""
+    for key in fields(ExperimentConfig):
+        if key.metadata["flag"]:
+            flag, kwargs = key.metadata["flag"]
+            kwargs = dict(kwargs)
+            yield key.name, flag, kwargs, kwargs.pop("parse", None)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hankel-fh",
@@ -467,11 +495,8 @@ def _build_parser():
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--n", help="comma-separated list of matrix sizes")
-        p.add_argument("--precision", type=int, help="oracle precision bits")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--mc-samples", type=int, help="Monte Carlo samples")
+        for _, flag, kwargs, _ in _flags():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", help="output path (default stdout)")
     return parser
 
@@ -487,19 +512,10 @@ def _load_config(args) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}:{exc.lineno}: {exc.msg}")
     flags = {}
-    if args.n:
-        try:
-            flags["n_list"] = [int(v) for v in args.n.split(",") if v]
-        except ValueError:
-            raise ConfigError("--n needs a comma-separated integer list")
-    if args.precision is not None:
-        flags["precision_bits"] = args.precision
-    if args.format:
-        flags["output_format"] = args.format
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.mc_samples is not None:
-        flags["mc_samples"] = args.mc_samples
+    for key, flag, _, parse in _flags():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        if value not in (None, ""):  # an empty --n overrides nothing
+            flags[key] = parse(value) if parse else value
     if isinstance(data, dict):  # anything else is parse_config's error
         data = {"potential": [0.0, 0.0, 2.0], **data, **flags}
     return parse_config(data)

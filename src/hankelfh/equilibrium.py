@@ -19,7 +19,7 @@ V'(y) = sum_k d_k T_k(y) one gets psi = (1/(2 pi)) sum_{k>=1} d_k U_{k-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -273,6 +273,10 @@ class RescaledProblem:
     def log_det_correction(self, n, A=0.0):
         return (n * n + n * A) * self.log_half_width
 
+    def to_unit(self, x):
+        """The point of [-1, 1] that x in [a, b] maps to."""
+        return float((x - 0.5 * (self.a + self.b)) / (0.5 * (self.b - self.a)))
+
 
 def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
     """Map a problem posed on [a, b] to the normalised interval [-1, 1].
@@ -305,5 +309,5 @@ def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
     if W_tilde is not None:
         W = W_tilde if isinstance(W_tilde, ChebSeries) else ChebSeries(W_tilde)
 
-    t = tuple(float((tt - mid) / half) for tt in t_tilde)
-    return RescaledProblem(V=V, W=W, t=t, a=float(a), b=float(b))
+    res = RescaledProblem(V=V, W=W, t=(), a=float(a), b=float(b))
+    return replace(res, t=tuple(map(res.to_unit, t_tilde)))

@@ -63,6 +63,3 @@ class ConvergenceError(HankelFHError):
     """A quadrature or precision-refinement loop stalled before reaching the
     requested accuracy."""
 
-
-class ZeroDeterminantError(HankelFHError):
-    """A determinant in the denominator of a ratio vanished identically."""

@@ -35,12 +35,7 @@ from numpy.polynomial import chebyshev as npcheb
 from scipy.special import betaln
 
 from .equilibrium import Potential
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PositivityError,
-    ZeroDeterminantError,
-)
+from .errors import ConvergenceError, DomainError, PositivityError
 from .singularities import SingularityConfig, as_field
 
 MOMENT_DETERMINANT = "moment_determinant"
@@ -616,20 +611,3 @@ def op_recurrence_log_det(ws):
         )
     return HankelResult(coarse, 0.0, n, _FLOAT_BITS, OP_RECURRENCE)
 
-
-def log_det_ratio(ws_num, ws_den, precision_bits=None):
-    """log D_n(numerator weight) - log D_n(denominator weight).
-
-    Both weights must share the same n. The imaginary part is the phase
-    difference wrapped to (-pi, pi]; a vanishing denominator determinant
-    raises ZeroDeterminantError, a vanishing numerator returns -inf.
-    """
-    if ws_num.n != ws_den.n:
-        raise DomainError("log_det_ratio requires the same n in both weights")
-    num = oracle_log_det(ws_num, precision_bits)
-    den = oracle_log_det(ws_den, precision_bits)
-    if den.is_zero:
-        raise ZeroDeterminantError("denominator Hankel determinant vanishes")
-    if num.is_zero:
-        return complex(float("-inf"), 0.0)
-    return complex(num.log_abs - den.log_abs, wrap_phase(num.phase - den.phase))

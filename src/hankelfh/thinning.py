@@ -16,7 +16,9 @@ no prefactor. Over n eigenvalues the gap probability becomes
 
 which reduces to the classical single-jump identity when m = 1. All beta~
 are purely imaginary, so the ratio is real and the expansion applies with
-beta_max = 0.
+beta_max = 0. Both weights are positive, so the exact finite-n gap
+probability takes both determinants from the float64 recurrence, certified
+N/2N to 1e-10.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .asymptotics import predict_log_hankel
 from .errors import HypothesisError
-from .oracle import WeightSpec, log_det_ratio
+from .oracle import WeightSpec, op_recurrence_log_det
 from .singularities import Singularity, SingularityConfig, ThinningSpec
 
 TWO_PI_I = 2j * np.pi
@@ -93,17 +95,17 @@ def gap_probability_log(V, measure, spec, n) -> GapPrediction:
     return GapPrediction(value=float(value.real), error_scale=pred_b.error_scale)
 
 
-def gap_probability_log_exact(V, spec, n, precision_bits=None):
-    """Finite-n log gap probability from exact Hankel determinants."""
+def gap_probability_log_exact(V, spec, n):
+    """Finite-n log gap probability from exact Hankel determinants: both come
+    from the float64 recurrence, certified N/2N to 1e-10."""
     tmap, base, thinned = _thinning_configs(spec)
     if not spec.kept:
         return 0.0
-    ratio = log_det_ratio(
-        WeightSpec(V, None, thinned, n),
-        WeightSpec(V, None, base, n),
-        precision_bits,
+    thinned_log_det, base_log_det = (
+        op_recurrence_log_det(WeightSpec(V, None, cfg, n)).log_abs
+        for cfg in (thinned, base)
     )
-    return float(ratio.real) + n * tmap.log_prefactor
+    return thinned_log_det - base_log_det + n * tmap.log_prefactor
 
 
 def correlation_log(V, measure, W, cfg, base_betas, n) -> CorrelationPrediction:

@@ -388,6 +388,31 @@ def test_thinning_all_kept_probability_one(capsys, tmp_path):
     assert abs(json.loads(out)["rows"][0]["gap_probability"] - 1.0) < 1e-10
 
 
+def test_thinning_boundaries_map_with_the_support(capsys, tmp_path):
+    # on [0, 2], [2, -4, 2] rescales to 2x^2 and the boundary 1.3 to 0.3
+    unit = {
+        "potential": [0, 0, 2.0],
+        "n_list": [4, 8],
+        "thinning_boundaries": [0.3],
+        "thinning_sectors": [1],
+        "thinning_s": [0.5],
+        "seed": 3,
+        "mc_samples": 10000,
+    }
+    shifted = dict(unit, potential=[2, -4, 2.0], support=[0, 2], thinning_boundaries=[1.3])
+    blobs = []
+    for data in (unit, shifted):
+        code, out, _ = run_cli(capsys, "thinning", "--config", write_config(tmp_path, data))
+        assert code == 0
+        blobs.append(json.loads(out))
+    assert blobs[0]["rows"] == blobs[1]["rows"]
+    assert blobs[0]["summary"] == blobs[1]["summary"]
+    outside = write_config(tmp_path, dict(shifted, thinning_boundaries=[2.3]))
+    code, _, err = run_cli(capsys, "thinning", "--config", outside)
+    assert code == 2
+    assert "thinning_boundaries" in err
+
+
 # ----------------------------------------------------------- output mechanics
 
 

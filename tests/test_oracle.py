@@ -16,7 +16,6 @@ from hankelfh.errors import (
     DomainError,
     HankelFHError,
     PositivityError,
-    ZeroDeterminantError,
 )
 from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE
 
@@ -132,10 +131,20 @@ def test_method_agreement_with_root_singularities():
 
 def test_method_agreement_moderate_n():
     cfg = hf.SingularityConfig((hf.Singularity(-0.2, 0.6, 0.0),))
-    ws = hf.WeightSpec(hf.Potential.gue(), ChebSeries([0.0, 0.2]), cfg, 12)
-    a = hf.oracle_log_det(ws)
-    b = hf.op_recurrence_log_det(ws)
-    assert abs(a.log_abs - b.log_abs) < 1e-10
+    weights = [hf.WeightSpec(hf.Potential.gue(), ChebSeries([0.0, 0.2]), cfg, 12)]
+    # the thinned weights of the benchmark's exact gap probabilities
+    for boundaries, s, n in (
+        ((0.0,), {1: 0.5}, 6),
+        ((-0.3, 0.4), {1: 0.8, 3: 0.35}, 8),
+        ((0.0,), {1: 0.9}, 8),
+    ):
+        betas = hf.thinning_to_betas(hf.ThinningSpec(boundaries, s)).betas
+        sings = tuple(hf.Singularity(t, 0.0, b) for t, b in zip(boundaries, betas))
+        weights.append(hf.WeightSpec(hf.Potential.gue(), None, hf.SingularityConfig(sings), n))
+    for ws in weights:
+        a = hf.oracle_log_det(ws)
+        b = hf.op_recurrence_log_det(ws)
+        assert abs(a.log_abs - b.log_abs) < 1e-10, ws.cfg
 
 
 def test_recurrence_sees_under_resolved_moments(monkeypatch):
@@ -270,46 +279,6 @@ def test_complex_alpha_gives_complex_determinant():
     res = hf.oracle_log_det(ws, 256)
     assert res.phase != 0.0
     assert res.converged
-
-
-# --------------------------------------------------------------- log_det_ratio
-
-
-def test_ratio_identical_weights_is_zero():
-    ratio = hf.log_det_ratio(gue_weight(3), gue_weight(3), 256)
-    assert ratio == 0
-
-
-def test_ratio_beta_perturbation_for_small_gue():
-    cfg_b = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1j),))
-    cfg_0 = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.0),))
-    num = hf.WeightSpec(hf.Potential.gue(), None, cfg_b, 3)
-    den = hf.WeightSpec(hf.Potential.gue(), None, cfg_0, 3)
-    ratio = hf.log_det_ratio(num, den, 256)
-    assert np.isfinite(ratio.real)
-    assert abs(ratio.imag) < 1e-12  # both weights positive
-
-
-def test_ratio_mismatched_n_rejected():
-    with pytest.raises(DomainError):
-        hf.log_det_ratio(gue_weight(3), gue_weight(4), 256)
-
-
-def test_ratio_zero_denominator_raises(monkeypatch):
-    # route the denominator to a synthetic vanishing determinant
-    def fake_oracle(ws, precision_bits=None):
-        if len(ws.cfg):
-            return hf.hankel_log_det([mp.mpf(1), mp.mpf(1), mp.mpf(1)], 2, 256)
-        return hf.hankel_log_det([mp.sqrt(mp.pi / 2)], 1, 256)
-
-    monkeypatch.setattr(oracle_mod, "oracle_log_det", fake_oracle)
-    ws_num = gue_weight(2)
-    ws_den = hf.WeightSpec(
-        hf.Potential.gue(), None,
-        hf.SingularityConfig((hf.Singularity(0.0, 1.0, 0.0),)), 2,
-    )
-    with pytest.raises(ZeroDeterminantError):
-        oracle_mod.log_det_ratio(ws_num, ws_den, 256)
 
 
 # ------------------------------------------------------- negative root exponents

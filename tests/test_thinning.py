@@ -115,10 +115,23 @@ def test_gap_exact_finite_n_identity(gue_potential):
 
     t, s = 0.3, 0.4
     spec = hf.ThinningSpec((t,), {1: s})
-    exact = hf.gap_probability_log_exact(gue_potential, spec, 1, 256)
+    exact = hf.gap_probability_log_exact(gue_potential, spec, 1)
     # single eigenvalue density ~ e^{-2x^2}: P = s*P(x<t) + P(x>t)
     mass = norm.cdf(t, scale=0.5)
     assert abs(np.exp(exact) - (s * mass + (1 - mass))) < 1e-10
+
+
+def test_gap_exact_at_large_n_leaves_a_1_over_n_residual(gue_potential, gue_measure):
+    # mu([0, 1]) = 1/2, so even n hide the oscillatory term and the expansion
+    # misses the exact value by c/n; an error of 1e-4 in C4 moves the ratio
+    # of n * residual at n = 64 and n = 30 by about 13%
+    spec = hf.ThinningSpec((0.0,), {1: 0.5})
+    scaled = [
+        n * abs(hf.gap_probability_log_exact(gue_potential, spec, n)
+                - hf.gap_probability_log(gue_potential, gue_measure, spec, n).value)
+        for n in (30, 64)
+    ]
+    assert abs(scaled[1] / scaled[0] - 1) < 0.1, scaled
 
 
 # ------------------------------------------------------------ correlation_log
@@ -150,12 +163,13 @@ def test_correlation_against_oracle_ratio(gue_potential, gue_measure):
     beta = 0.09j
     cfg = hf.SingularityConfig((hf.Singularity(0.25, 0.0, beta),))
     pred = hf.correlation_log(gue_potential, gue_measure, None, cfg, [0.0], n)
-    num = hf.WeightSpec(gue_potential, None, cfg, n)
-    den = hf.WeightSpec(
-        gue_potential, None,
-        hf.SingularityConfig((hf.Singularity(0.25, 0.0, 0.0),)), n,
+    base = hf.SingularityConfig((hf.Singularity(0.25, 0.0, 0.0),))
+    num, den = (
+        hf.oracle_log_det(hf.WeightSpec(gue_potential, None, c, n), 512)
+        for c in (cfg, base)
     )
-    oracle = hf.log_det_ratio(num, den, 512) - 1j * np.pi * beta
+    # both weights are positive, so both phases are 0
+    oracle = num.log_abs - den.log_abs - 1j * np.pi * beta
     assert abs(pred.value - oracle) < 0.02
 
 
