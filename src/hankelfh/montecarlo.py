@@ -1,13 +1,15 @@
-"""Monte Carlo estimation of thinned-spectrum gap probabilities for the
-Gaussian ensemble.
+"""Monte Carlo gap probabilities of thinned spectra of the Gaussian ensemble.
 
-Matrices are drawn from the density proportional to e^{-2n tr M^2}. Writing
-tr M^2 = sum_i M_ii^2 + 2 sum_{i<j} |M_ij|^2 gives independent Gaussian
-entries with Var(M_ii) = 1/(4n) and Var(Re M_ij) = Var(Im M_ij) = 1/(8n).
-Eigenvalues are thinned independently per sector and the gap event (no
-surviving eigenvalue in any thinned sector) is recorded; batches draw their
-RNG streams from a spawned seed sequence so results are reproducible
-regardless of how batches are scheduled.
+Matrices follow e^{-2n tr M^2} through the beta = 2 tridiagonal model of
+Dumitriu and Edelman (J. Math. Phys. 43, 2002): diagonal N(0, 1/(4n)),
+squared off-diagonal chi^2_{2k}/(8n) for k = n-1, ..., 1. No eigenvalue is
+computed: the count N_k in sector k is a difference of Sturm counts, the
+negative LDL^T pivots of T - x at the sector ends, vectorised over the
+batch. Given the counts the gap (no survivor in any thinned sector) has
+probability prod_k s_k^{N_k}; its sample mean is the conditional
+(Rao-Blackwell) form of the gap indicator's mean, unbiased, of lower
+variance, and nonzero however rare the gap. Batches draw their RNG streams
+from a spawned seed sequence, so results do not depend on batch scheduling.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .singularities import ThinningSpec
 
-_BATCH = 20_000
-MAX_N = 50
+_BATCH = 20_000  # samples per RNG stream, fewer past n = 100: 2e6 entries at most
 
 
 @dataclass(frozen=True)
@@ -31,64 +32,60 @@ class McEstimate:
     seed: int
 
 
-def _sample_gue_eigenvalues(rng, n, batch):
-    """Eigenvalues of `batch` matrices drawn from e^{-2 n tr M^2}.
+def _sample_tridiagonal(rng, n, batch):
+    """Diagonals (n, batch) and squared off-diagonals (n - 1, batch) of
+    `batch` tridiagonal matrices with the eigenvalue law of e^{-2n tr M^2}."""
+    diag = rng.normal(0.0, np.sqrt(1.0 / (4.0 * n)), size=(n, batch))
+    dof = 2.0 * np.arange(n - 1, 0, -1)
+    off_sq = rng.chisquare(dof[:, None], size=(n - 1, batch)) / (8.0 * n)
+    return diag, off_sq
 
-    Only the strict upper triangle is drawn (symmetrising a full random
-    matrix would double the off-diagonal variance).
-    """
-    diag_sd = np.sqrt(1.0 / (4.0 * n))
-    off_sd = np.sqrt(1.0 / (8.0 * n))
-    rows, cols = np.triu_indices(n, k=1)
-    m = np.zeros((batch, n, n), dtype=complex)
-    m[:, rows, cols] = rng.normal(
-        0.0, off_sd, size=(batch, rows.size)
-    ) + 1j * rng.normal(0.0, off_sd, size=(batch, rows.size))
-    m += m.conj().transpose(0, 2, 1)
-    idx = np.arange(n)
-    m[:, idx, idx] = rng.normal(0.0, diag_sd, size=(batch, n))
-    return np.linalg.eigvalsh(m)
+
+def _count_below(diag, off_sq, x):
+    """Eigenvalues below each x (+-inf allowed), per matrix: (len(x), batch).
+
+    Counts the negative pivots of T - x = L D L^T. A pivot below pivmin in
+    magnitude becomes +pivmin, as in LAPACK's dstebz, so no division
+    overflows and an eigenvalue equal to x counts as not below it."""
+    pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
+    x = np.asarray(x, dtype=float)[:, None]
+    below = np.zeros((x.shape[0], diag.shape[1]), dtype=int)
+    for i in range(diag.shape[0]):
+        d = diag[i] - x - (off_sq[i - 1] / d if i else 0.0)
+        d[np.abs(d) < pivmin] = pivmin
+        below += d < 0
+    return below
 
 
 def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
     """Estimate P(no surviving eigenvalue in the thinned sectors).
 
-    Each eigenvalue falling in a thinned sector k survives thinning with
-    probability 1 - s_k and destroys the gap. Returns the sample mean of the
-    gap indicator and its binomial standard error. With no hit at all the
-    error is the one-sigma Wilson score bound 1/(samples + 1): the gap
-    probability is never exactly 0, since every s_k > 0. The same bound
-    applies when every sample hits while some s_k < 1, since the gap
-    probability is then below 1; only with every s_k = 1 is 1.0 exact.
+    Samples the tridiagonal model of e^{-2n tr M^2}, counts each matrix's
+    eigenvalues per sector by Sturm sequences, and returns the sample mean
+    of prod_k s_k^{N_k} with its sample standard error. That error is 0 only
+    where the estimate is exact: no thinned sector, or every s_k = 1. If
+    some s_k < 1 yet every sample gives the same product (all 1, or all
+    underflowing to 0), the one-sigma bound 1/(samples + 1) stands in for
+    the zero sample variance.
     """
-    if n > MAX_N:
-        raise DomainError(f"Monte Carlo sampler supports n <= {MAX_N}, got {n}")
     if n < 1:
         raise DomainError("need n >= 1")
     if samples < 10_000:
         raise DomainError("need at least 10^4 samples for a meaningful estimate")
-    if not spec.kept:
-        return McEstimate(estimate=1.0, stderr=0.0, samples=samples, seed=seed)
-
-    sectors = [(k, spec.sector_bounds(k), spec.s[k]) for k in sorted(spec.kept)]
-    n_batches = (samples + _BATCH - 1) // _BATCH
-    streams = np.random.SeedSequence(seed).spawn(n_batches)
-    hits = 0
-    done = 0
-    for batch_idx in range(n_batches):
-        rng = np.random.default_rng(streams[batch_idx])
-        batch = min(_BATCH, samples - done)
-        eigs = _sample_gue_eigenvalues(rng, n, batch)
-        u = rng.random(eigs.shape)
-        survivor = np.zeros(batch, dtype=bool)
-        for _, (lo, hi), s_k in sectors:
-            in_sector = (eigs > lo) & (eigs < hi)
-            survivor |= (in_sector & (u >= s_k)).any(axis=1)
-        hits += int((~survivor).sum())
-        done += batch
-    p_hat = hits / samples
-    if hits == 0 or (hits == samples and any(s_k < 1.0 for *_, s_k in sectors)):
+    log_s = np.log(spec.s_tilde())
+    ends = [-np.inf, *spec.boundaries, np.inf]
+    size = max(1, min(_BATCH, 2_000_000 // n))
+    streams = np.random.SeedSequence(seed).spawn((samples + size - 1) // size)
+    products = []
+    for i, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        diag, off_sq = _sample_tridiagonal(rng, n, min(size, samples - i * size))
+        counts = np.diff(_count_below(diag, off_sq, ends), axis=0)
+        products.append(np.exp(log_s @ counts))
+    products = np.concatenate(products)
+    if products.min() == products.max() and log_s.any():
         stderr = 1.0 / (samples + 1)
     else:
-        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
-    return McEstimate(estimate=float(p_hat), stderr=stderr, samples=samples, seed=seed)
+        stderr = float(products.std(ddof=1) / np.sqrt(samples))
+    return McEstimate(estimate=float(products.mean()), stderr=stderr,
+                      samples=samples, seed=seed)

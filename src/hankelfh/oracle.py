@@ -532,8 +532,9 @@ def oracle_log_det(ws, precision_bits=None):
     return hankel_log_det(moments, ws.n, pb)
 
 
+@lru_cache(maxsize=64)
 def _gauss_jacobi(N, a, b):
-    """N-point Gauss rule for (1-u)^a (1+u)^b on (-1, 1): nodes, log-weights.
+    """N-point Gauss rule for (1-u)^a (1+u)^b on (-1, 1): read-only nodes, log-weights.
 
     Jacobi-matrix eigenvalues polished by Newton steps on the orthonormal p_N
     in long double, and Christoffel weights mu_0 / sum_k p_k^2. The weights
@@ -556,7 +557,9 @@ def _gauss_jacobi(N, a, b):
             p_prev, p = p, (c * p - lag * p_prev) / off[j]
         u, x = u - p / dp, u
     log_mu0 = (a + b + 1) * np.log(2.0) + betaln(float(a) + 1, float(b) + 1)
-    return x.astype(float), (log_mu0 - np.log(total)).astype(float)
+    nodes, log_w = x.astype(float), (log_mu0 - np.log(total)).astype(float)
+    nodes.flags.writeable = log_w.flags.writeable = False
+    return nodes, log_w
 
 
 def _recurrence_log_det(ws, X, N):

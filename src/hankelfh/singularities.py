@@ -150,9 +150,3 @@ class ThinningSpec:
         return np.array(
             [self.s.get(k, 1.0) for k in range(1, self.m + 2)], dtype=float
         )
-
-    def sector_bounds(self, k):
-        """(lo, hi) of sector k, with infinities at the ends (1-based k)."""
-        lo = -np.inf if k == 1 else self.boundaries[k - 2]
-        hi = np.inf if k == self.m + 1 else self.boundaries[k - 1]
-        return lo, hi

@@ -372,6 +372,25 @@ def test_thinning_mc_requires_gaussian_potential(capsys, tmp_path):
     assert "Gaussian" in err
 
 
+def test_thinning_mc_reaches_n64(capsys, tmp_path):
+    path = write_config(
+        tmp_path,
+        {
+            "potential": [0, 0, 2.0],
+            "n_list": [64],
+            "thinning_boundaries": [0.0],
+            "thinning_sectors": [1],
+            "thinning_s": [0.5],
+            "seed": 2,
+        },
+    )
+    code, out, _ = run_cli(capsys, "thinning", "--config", path, "--mc-samples", "20000")
+    assert code == 0
+    mc = json.loads(out)["rows"][0]["mc"]
+    assert isinstance(mc["estimate"], float) and 0.0 < mc["estimate"] < 1e-9
+    assert mc["stderr"] > 0.0
+
+
 def test_thinning_all_kept_probability_one(capsys, tmp_path):
     path = write_config(
         tmp_path,

@@ -173,6 +173,15 @@ def test_recurrence_requires_positive_weight():
         hf.op_recurrence_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 3))
 
 
+def test_gauss_jacobi_rules_are_cached_and_read_only():
+    nodes, log_weights = oracle_mod._gauss_jacobi(40, 0.3, -0.5)
+    again = oracle_mod._gauss_jacobi(40, 0.3, -0.5)
+    assert again[0] is nodes and again[1] is log_weights
+    for arr in (nodes, log_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @st.composite
 def positive_weights(draw, max_n):
     """A positive weight: the Gaussian potential or an even quartic with
