@@ -6,7 +6,6 @@ from .chebyshev import (
     cheb_weighted_integrals,
     hilbert_T,
     log_kernel_integral,
-    log_potential_exterior,
 )
 from .equilibrium import (
     EquilibriumMeasure,
@@ -47,7 +46,7 @@ from .singularities import (
     SingularityConfig,
     ThinningSpec,
 )
-from .special import log_barnes_g, log_gamma, zeta_prime_minus_one
+from .special import log_barnes_g, zeta_prime_minus_one
 from .asymptotics import (
     ExpansionCoefficients,
     PredictionResult,

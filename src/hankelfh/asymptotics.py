@@ -32,6 +32,8 @@ from .special import log_barnes_g, zeta_prime_minus_one
 
 _LOG2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
+#: the Gaussian potential 2 x^2 as a T-series
+_GAUSSIAN_V = ChebSeries.from_monomials([0.0, 0.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,12 @@ def _gue_cumulative(t):
 
 def _dV_cheb(V):
     """V - 2x^2 as a T-series (the deviation from the Gaussian potential)."""
-    return V.cheb() - ChebSeries.from_monomials([0.0, 0.0, 2.0])
+    return V.cheb() - _GAUSSIAN_V
 
 
-def _potential_quadratic_term(V, measure):
-    """-1/2 * int sqrt(1-x^2) (V - 2x^2) (2/pi + psi) dx, exactly."""
-    integrand = _dV_cheb(V) * (measure.psi + 2.0 / np.pi)
+def _potential_quadratic_term(dV, measure):
+    """-1/2 * int sqrt(1-x^2) dV (2/pi + psi) dx for dV = V - 2x^2, exactly."""
+    integrand = dV * (measure.psi + 2.0 / np.pi)
     _, i_plus = cheb_weighted_integrals(integrand)
     return -0.5 * i_plus
 
@@ -136,13 +138,14 @@ def expansion_coefficients(V, measure, W, cfg):
     psi = measure.psi
     A = cfg.alpha_sum
     zp = zeta_prime_minus_one()
+    dV = _dV_cheb(V)
 
     c1 = {
         "gaussian": complex(-_LOG2 - 0.75),
-        "potential": complex(_potential_quadratic_term(V, measure)),
+        "potential": complex(_potential_quadratic_term(dV, measure)),
     }
 
-    dv_half, _ = cheb_weighted_integrals(_dV_cheb(V))
+    dv_half, _ = cheb_weighted_integrals(dV)
     _, psiW_plus = cheb_weighted_integrals(psi * W)
     c2 = {
         "gaussian": complex(_LOG_2PI),
@@ -350,8 +353,9 @@ def _ratio_potential_coefficients(V, measure, cfg):
     """Coefficients of log D_n(V) - log D_n(2x^2) at fixed singularities."""
     psi = measure.psi
     A = cfg.alpha_sum
-    c_2 = complex(_potential_quadratic_term(V, measure))
-    dv_half, _ = cheb_weighted_integrals(_dV_cheb(V))
+    dV = _dV_cheb(V)
+    c_2 = complex(_potential_quadratic_term(dV, measure))
+    dv_half, _ = cheb_weighted_integrals(dV)
     c_n = -A / (2.0 * np.pi) * dv_half
     c_0 = -np.log(
         np.pi ** 2 / 4.0 * float(np.real(psi(1.0))) * float(np.real(psi(-1.0)))

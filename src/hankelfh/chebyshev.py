@@ -98,10 +98,11 @@ def cheb_weighted_integrals(f):
 
 
 def _cheb_values(y, count, first):
-    """P_0(y) .. P_{count-1}(y) for P_0 = 1, P_1 = first * y and the
-    three-term recurrence P_k = 2 y P_{k-1} - P_{k-2}: first = 1 gives T_k,
-    first = 2 gives U_k."""
-    vals = np.empty(count, dtype=complex if np.iscomplexobj(np.asarray(y)) else float)
+    """P_0(y) .. P_{count-1}(y), stacked along a new first axis, for P_0 = 1,
+    P_1 = first * y and the three-term recurrence P_k = 2 y P_{k-1} - P_{k-2}:
+    first = 1 gives T_k, first = 2 gives U_k."""
+    y = np.asarray(y)
+    vals = np.empty((count,) + y.shape, dtype=np.result_type(y, 1.0))
     if count >= 1:
         vals[0] = 1.0
     if count >= 2:
@@ -177,15 +178,15 @@ def _log_kernel_interior(g, x):
 def _log_kernel_exterior(g, x):
     """Same integral for |x| > 1, via the exterior map phi = |x|+sqrt(x^2-1).
 
-    For x < -1 the parity J_l(-x) = (-1)^l J_l(x) reduces to the x > 1 case.
+    The parity J_l(-x) = (-1)^l J_l(x) reduces x < -1 to the x > 1 case.
     """
-    if x < 0:
-        g = g * np.power(-1.0, np.arange(len(g)))
-        x = -x
+    sign = np.sign(x)
+    x = np.abs(x)
     phi = x + np.sqrt(x * x - 1.0)
     total = g[0] * (0.5 * np.pi * np.log(0.5 * phi) + 0.25 * np.pi * phi ** -2)
     for l in range(1, len(g)):
-        total += g[l] * 0.5 * np.pi * (phi ** -(l + 2) / (l + 2) - phi ** -l / l)
+        term = phi ** -(l + 2) / (l + 2) - phi ** -l / l
+        total += g[l] * sign ** l * 0.5 * np.pi * term
     return 2.0 * total
 
 
@@ -193,16 +194,17 @@ def log_kernel_integral(rho_psi, x):
     """Logarithmic potential 2 * int log|x-s| psi(s) sqrt(1-s^2) ds.
 
     rho_psi is the analytic factor psi as a T-series; the sqrt(1-s^2) weight
-    is part of the operation. Defined for x in [-1, 1]; see
-    log_potential_exterior for |x| > 1.
+    is part of the operation. x is a finite real scalar or array: entries
+    with |x| <= 1 take the interior antiderivatives, the rest the exterior
+    map. Returns a scalar for scalar x, else an array of x's shape.
     """
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"log_kernel_integral needs x in [-1, 1], got {x}")
-    return _log_kernel_interior(t_to_u(rho_psi.coeffs), x)
-
-
-def log_potential_exterior(rho_psi, x):
-    """The same logarithmic potential evaluated outside the support."""
-    if -1.0 <= x <= 1.0:
-        raise DomainError(f"log_potential_exterior needs |x| > 1, got {x}")
-    return _log_kernel_exterior(t_to_u(rho_psi.coeffs), x)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        bad = x[~np.isfinite(x)][0]
+        raise DomainError(f"log_kernel_integral needs finite x, got {bad}")
+    g = t_to_u(rho_psi.coeffs)
+    inside = np.abs(x) <= 1.0
+    out = np.empty(x.shape, dtype=np.result_type(g, x))
+    out[inside] = _log_kernel_interior(g, x[inside])
+    out[~inside] = _log_kernel_exterior(g, x[~inside])
+    return out[()]

@@ -29,7 +29,6 @@ from .chebyshev import (
     ChebSeries,
     cheb_weighted_integrals,
     log_kernel_integral,
-    log_potential_exterior,
     u_to_t,
 )
 from .errors import (
@@ -41,6 +40,8 @@ from .errors import (
 
 #: normalisation slack beyond which the support cannot be [-1, 1]
 NORMALIZATION_TOL = 1e-8
+#: spread of ell over interior points beyond which (V, psi) is no equilibrium pair
+ELL_SPREAD_TOL = 1e-6
 
 #: exterior inequality is certified on |x| <= X_MAX plus a growth argument
 X_MAX = 5.0
@@ -161,27 +162,27 @@ def compute_density(V):
     return psi
 
 
-def compute_ell(V, psi, spread_tol=1e-6):
+def compute_ell(V, psi):
     """Euler-Lagrange constant ell = V(x0) - 2 int log|x0-s| dmu(s).
 
     Evaluated at x0 = 0 and cross-checked at x0 = +/- 1/2; a spread above
-    ``spread_tol`` means (V, psi) is not an equilibrium pair.
+    ELL_SPREAD_TOL means (V, psi) is not an equilibrium pair.
     """
-    points = (0.0, 0.5, -0.5)
-    values = [float(V(x) - log_kernel_integral(psi, x)) for x in points]
-    spread = max(values) - min(values)
-    if spread > spread_tol:
+    points = np.array([0.0, 0.5, -0.5])
+    values = V(points) - log_kernel_integral(psi, points)
+    spread = float(values.max() - values.min())
+    if spread > ELL_SPREAD_TOL:
         raise EquilibriumConsistencyError(
             f"Euler-Lagrange constant varies by {spread:.3e} across interior "
             "points; density does not match the potential"
         )
-    return values[0]
+    return float(values[0])
 
 
 def _exterior_slack(V, psi, ell, x):
     """V(x) - ell - 2 int log|x-s| dmu(s); positive where the strict
-    exterior inequality holds."""
-    return float(V(x) - ell - log_potential_exterior(psi, x))
+    exterior inequality holds. Scalar or array x."""
+    return V(x) - ell - log_kernel_integral(psi, x)
 
 
 def check_one_cut_regular(V, measure):
@@ -209,7 +210,7 @@ def check_one_cut_regular(V, measure):
 
     half = np.geomspace(1.0 + 1e-6, X_MAX, EXTERIOR_GRID // 2)
     ext = np.concatenate([-half[::-1], half])
-    slack = np.array([_exterior_slack(V, psi, ell, x) for x in ext])
+    slack = _exterior_slack(V, psi, ell, ext)
     i_worst = int(np.argmin(slack))
     margin = float(-slack[i_worst])  # largest value of ell + 2U - V
     margin_loc = float(ext[i_worst])
@@ -223,11 +224,10 @@ def check_one_cut_regular(V, measure):
 
     # Beyond X_MAX the polynomial growth of V beats the 2 log|x| potential;
     # record that the slack is already increasing at the grid edge.
-    tail_ok = _exterior_slack(V, psi, ell, X_MAX) > _exterior_slack(
-        V, psi, ell, 0.9 * X_MAX
-    ) and _exterior_slack(V, psi, ell, -X_MAX) > _exterior_slack(
-        V, psi, ell, -0.9 * X_MAX
+    tail = _exterior_slack(
+        V, psi, ell, np.array([X_MAX, 0.9 * X_MAX, -X_MAX, -0.9 * X_MAX])
     )
+    tail_ok = tail[0] > tail[1] and tail[2] > tail[3]
 
     return RegularityCertificate(
         psi_min_on_support=psi_min,

@@ -334,8 +334,9 @@ def _estimate_abs_sums(points, n_mom):
     return [float(t) for t in log2_t], float(lm.max())
 
 
-def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec):
-    """Name the moment whose last change overshot its tolerance the most."""
+def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, positive):
+    """Name the moment whose last change overshot its tolerance the most,
+    the determinant size, and for a positive weight the float64 route."""
     def overshoot(j):  # log2 of |change| / tolerance
         t = abs_sums[j]
         tol = math.log2(t) + tol_exp if t else -math.inf
@@ -344,10 +345,13 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec):
     failed = [j for j, t in enumerate(abs_sums)
               if abs(cur[j] - prev[j]) > mp.mpf((t, tol_exp))]
     j = max(failed, key=overshoot)
+    route = ("; the weight is positive, so op_recurrence_log_det computes this "
+             "determinant in float64") if positive else ""
     return (
         f"moment quadrature stalled at level {_MAX_LEVEL}: moment j = {j} "
         f"last changed by 2^{overshoot(j):.4g} times its tolerance "
-        f"(cutoff X = {X:.6g}, {workprec} working bits)"
+        f"(cutoff X = {X:.6g}, {workprec} working bits) for the "
+        f"{count} x {count} determinant{route}"
     )
 
 
@@ -458,9 +462,8 @@ def compute_moments(ws, count, precision_bits):
                    for c, p, t in zip(cur, prev, abs_sums)):
                 break
             if level == _MAX_LEVEL:
-                raise ConvergenceError(
-                    _stall_message(cur, prev, abs_sums, tol_exp, X, workprec)
-                )
+                raise ConvergenceError(_stall_message(
+                    cur, prev, abs_sums, tol_exp, X, workprec, count, ws.is_positive))
             prev = cur
 
         log2_t = [math.log2(t) - G if t else -math.inf for t in abs_sums]

@@ -1,14 +1,13 @@
-"""Log-Gamma, log Barnes-G and the zeta derivative constant.
+"""Log Barnes-G and the zeta derivative constant.
 
-log_gamma wraps scipy's principal-branch implementation. log Barnes-G has no
-scipy counterpart and is built from
+log Barnes-G has no scipy counterpart and is built from
 
     int_0^z log Gamma(1+x) dx
         = z/2 log(2 pi) - z(z+1)/2 + z log Gamma(z+1) - log G(z+1),
 
 combined with the recurrence G(z+1) = Gamma(z) G(z) to shift the argument
 into the half-plane where the straight integration path stays clear of the
-log-Gamma branch cut.
+log-Gamma branch cut; log Gamma is scipy's principal branch.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ import scipy.special as sp
 from .errors import PoleError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+#: Gauss-Legendre points for the log-Gamma integral on [0, 1]
+_GL_POINTS = 120
 
 
 def _is_nonpositive_integer(z):
@@ -29,19 +30,9 @@ def _is_nonpositive_integer(z):
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def log_gamma(z):
-    """Principal branch of log Gamma(z) for complex z.
-
-    Raises PoleError at the poles z = 0, -1, -2, ...
-    """
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log_gamma pole at z = {z}")
-    return complex(sp.loggamma(complex(z)))
-
-
 @lru_cache(maxsize=1)
-def _gauss_legendre_01(npts=120):
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+def _gauss_legendre_01():
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 

@@ -172,9 +172,10 @@ def test_log_kernel_against_quadrature():
 
 def test_log_kernel_exterior_matches_interior_at_edge():
     psi = ChebSeries([0.4, 0.1, 0.2, -0.05])
-    inner = hf.log_kernel_integral(psi, 1.0)
-    outer = hf.log_potential_exterior(psi, 1.0 + 1e-12)
-    assert abs(inner - outer) < 1e-9
+    for edge in (-1.0, 1.0):  # both edges, each from just outside
+        inner = hf.log_kernel_integral(psi, edge)
+        outer = hf.log_kernel_integral(psi, edge * (1.0 + 1e-12))
+        assert abs(inner - outer) < 1e-9
 
 
 def test_log_kernel_exterior_quadrature():
@@ -184,15 +185,39 @@ def test_log_kernel_exterior_quadrature():
             return np.log(abs(x - s)) * psi(s) * np.sqrt(1 - s * s)
 
         oracle, _ = quad(integrand, -1, 1, limit=200)
-        assert abs(hf.log_potential_exterior(psi, x) - 2 * oracle) < 1e-10
+        assert abs(hf.log_kernel_integral(psi, x) - 2 * oracle) < 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.4, 0.1, 0.2, -0.05],
+    [0.4 + 0.1j, -0.2j, 0.2, 0.0, -0.05 + 0.03j],
+])
+def test_log_kernel_array_matches_scalar_calls_across_the_edges(coeffs):
+    # the array call routes each entry to the interior or exterior formula;
+    # it must give exactly what one call per point gives, on both sides of
+    # both edges
+    psi = ChebSeries(coeffs)
+    x = np.array([
+        -3.0, -1.0 - 1e-12, -1.0, -1.0 + 1e-12, -0.4, 0.0, 0.7,
+        1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 4.0,
+    ])
+    values = hf.log_kernel_integral(psi, x)
+    assert values.shape == x.shape
+    assert np.iscomplexobj(values) == np.iscomplexobj(psi.coeffs)
+    scalars = np.array([hf.log_kernel_integral(psi, xi) for xi in x])
+    assert np.array_equal(values, scalars)
+    grid = hf.log_kernel_integral(psi, x.reshape(3, 4))
+    assert np.array_equal(grid, values.reshape(3, 4))
 
 
 def test_log_kernel_domain_errors():
+    # every finite real x is in the domain; NaN and +-inf are not
     psi = ChebSeries([1.0])
-    with pytest.raises(DomainError):
-        hf.log_kernel_integral(psi, 1.5)
-    with pytest.raises(DomainError):
-        hf.log_potential_exterior(psi, 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            hf.log_kernel_integral(psi, bad)
+        with pytest.raises(DomainError, match="finite"):
+            hf.log_kernel_integral(psi, np.array([0.5, bad, 2.0]))
 
 
 # ----------------------------------------------------------- basis conversions

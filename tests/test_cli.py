@@ -227,6 +227,13 @@ def test_eqmeasure_double_well_exits_2(capsys, tmp_path):
     assert "condition 4" in err
 
 
+def test_eqmeasure_sextic_exits_2_naming_condition_3(capsys, tmp_path):
+    path = write_config(tmp_path, {"potential": [0, 0, 77 / 16, 0, -2.5, 0, 0.5]})
+    code, _, err = run_cli(capsys, "eqmeasure", "--config", path)
+    assert code == 2
+    assert "condition 3" in err
+
+
 def test_eqmeasure_rescaled_support_reports_correction(capsys, tmp_path):
     path = write_config(
         tmp_path, {"potential": [0, 0, 0.5], "support": [-2.0, 2.0]}

@@ -160,6 +160,18 @@ def test_double_well_fails_condition_4():
     assert err.value.condition == 4
 
 
+def test_sextic_fails_condition_3():
+    # unit mass, centred, psi > 0 on [-1, 1], yet the exterior slack turns
+    # negative just outside the support
+    V = hf.Potential([0, 0, 77 / 16, 0, -5 / 2, 0, 1 / 2])
+    psi = hf.compute_density(V)
+    assert np.min(psi(np.linspace(-1, 1, 201))) > 0
+    with pytest.raises(RegularityError) as err:
+        hf.equilibrium_measure(V)
+    assert err.value.condition == 3
+    assert abs(err.value.location - (-1.3059)) < 1e-3
+
+
 def test_exterior_margin_symmetric_for_even_potential(gue_potential, gue_measure):
     from hankelfh.equilibrium import _exterior_slack
 

@@ -383,7 +383,8 @@ def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
 
 def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     # one refinement step cannot converge; the error must say where (moment
-    # index, cutoff, working bits) and by how much (bits over tolerance)
+    # index, cutoff, working bits, determinant size), by how much (bits over
+    # tolerance) and, for a positive weight, that the float64 route exists
     monkeypatch.setattr(oracle_mod, "_MAX_LEVEL", oracle_mod._START_LEVEL + 1)
     with pytest.raises(ConvergenceError) as info:
         hf.compute_moments(gue_weight(6), 6, 256)
@@ -402,6 +403,17 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     assert float(bits) > 0
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
+    assert message.endswith(
+        "working bits) for the 6 x 6 determinant; the weight is positive, "
+        "so op_recurrence_log_det computes this determinant in float64"
+    )
+
+    # a jump makes the weight complex: no float64 route to point to
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 3)
+    with pytest.raises(ConvergenceError) as info:
+        hf.compute_moments(ws, 3, 256)
+    assert str(info.value).endswith("working bits) for the 3 x 3 determinant")
 
 
 def test_cutoff_search_failure_names_the_last_cutoff():

@@ -1,72 +1,12 @@
-"""Gamma / Barnes-G / zeta-derivative against independent oracles."""
-
-import math
+"""Barnes-G / zeta-derivative against independent oracles."""
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 import hankelfh as hf
 from hankelfh.errors import PoleError
-
-TWO_PI = 2.0 * np.pi
-
-# Bernoulli numbers B_2..B_10 for the Stirling tail
-_BERNOULLI = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66]
-
-
-def stirling_log_gamma(z, shift=20):
-    """Shifted-Stirling oracle: log Gamma(z) = log Gamma(z+shift) - sum log."""
-    w = z + shift
-    series = sum(
-        b / ((2 * m + 2) * (2 * m + 1) * w ** (2 * m + 1))
-        for m, b in enumerate(_BERNOULLI)
-    )
-    lg = (w - 0.5) * np.log(w) - w + 0.5 * np.log(TWO_PI) + series
-    return lg - sum(np.log(z + k) for k in range(shift))
-
-
-# ------------------------------------------------------------------ log_gamma
-
-
-def test_log_gamma_at_one():
-    assert abs(hf.log_gamma(1.0)) < 1e-15
-
-
-def test_log_gamma_at_half():
-    assert abs(hf.log_gamma(0.5) - np.log(np.sqrt(np.pi))) < 1e-14
-
-
-def test_log_gamma_complex_against_stirling():
-    z = 2.5 + 1.5j
-    oracle = stirling_log_gamma(z)
-    assert abs(hf.log_gamma(z) - oracle) / abs(oracle) < 1e-13
-
-
-def test_log_gamma_accuracy_sweep():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        z = complex(rng.uniform(0.2, 40), rng.uniform(-30, 30))
-        oracle = stirling_log_gamma(z)
-        assert abs(hf.log_gamma(z) - oracle) <= 1e-13 * max(1.0, abs(oracle))
-
-
-def test_log_gamma_reflection_formula():
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z), compared modulo 2 pi i
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
-        lhs = hf.log_gamma(z) + hf.log_gamma(1 - z)
-        rhs = np.log(np.pi / np.sin(np.pi * z))
-        mismatch = (lhs - rhs) / (2j * np.pi)
-        assert abs(mismatch - round(mismatch.real)) < 1e-11
-
-
-def test_log_gamma_pole():
-    for z in (0.0, -1.0, -5.0):
-        with pytest.raises(PoleError):
-            hf.log_gamma(z)
-
 
 # --------------------------------------------------------------- log_barnes_g
 
@@ -112,7 +52,7 @@ def test_barnes_g_recurrence_grid():
         if abs(z) > 5 or abs(z.imag) < 0.05:
             continue  # stay clear of the real-axis pole chain
         lhs = hf.log_barnes_g(z + 1)
-        rhs = hf.log_gamma(z) + hf.log_barnes_g(z)
+        rhs = complex(scipy.special.loggamma(z)) + hf.log_barnes_g(z)
         mismatch = (lhs - rhs) / (2j * np.pi)
         assert abs(lhs.real - rhs.real) < 1e-12 * max(1.0, abs(rhs))
         assert abs(mismatch - round(mismatch.real)) < 1e-10
