@@ -26,7 +26,6 @@ from .errors import (
     HankelFHError,
     HypothesisError,
     PoleError,
-    PositivityError,
     RegularityError,
     SeparationError,
     SupportError,

@@ -176,13 +176,13 @@ def _log_kernel_interior(g, x):
 
 
 def _log_kernel_exterior(g, x):
-    """Same integral for |x| > 1, via the exterior map phi = |x|+sqrt(x^2-1).
-
+    """Same integral for |x| > 1, via the exterior map phi = |x|+sqrt(x^2-1)
+    (as sqrt(x-1) sqrt(x+1): no overflow at large x, no cancellation near 1).
     The parity J_l(-x) = (-1)^l J_l(x) reduces x < -1 to the x > 1 case.
     """
     sign = np.sign(x)
     x = np.abs(x)
-    phi = x + np.sqrt(x * x - 1.0)
+    phi = x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
     total = g[0] * (0.5 * np.pi * np.log(0.5 * phi) + 0.25 * np.pi * phi ** -2)
     for l in range(1, len(g)):
         term = phi ** -(l + 2) / (l + 2) - phi ** -l / l

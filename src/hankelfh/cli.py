@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def _key(check, valid, convert, flag=None, **default):
 
     ``check`` tests the JSON value, ``valid`` says in the error what a valid
     value is, ``convert`` makes the field's value from it, and ``default`` is
-    the field's default or default_factory (without one the key is required).
+    the field's default or default_factory.
     ``flag`` = (name, add_argument keywords) declares the command-line flag
     that overrides the key; a "parse" keyword turns the flag's string into
     the JSON value after argparse has read it.
@@ -113,7 +113,8 @@ class ExperimentConfig:
     """The flat JSON config; each field declares one key, in check order."""
 
     potential: list = _key(
-        _list_of(_is_number, 3), "a list of at least 3 numbers", _floats
+        _list_of(_is_number, 3), "a list of at least 3 numbers", _floats,
+        default_factory=lambda: [0.0, 0.0, 2.0],
     )
     support: list = _key(
         lambda v: _list_of(_is_number)(v) and len(v) == 2 and v[0] < v[1],
@@ -163,15 +164,10 @@ def parse_config(data) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values = {}
-    for key in keys:
-        spec = key.metadata
-        if key.name in data:
-            value = data[key.name]
-            _require(spec["check"](value), key.name, f"needs {spec['valid']}")
-            values[key.name] = spec["convert"](value)
-        else:
-            required = key.default is MISSING and key.default_factory is MISSING
-            _require(not required, key.name, "required")
+    for key in (k for k in keys if k.name in data):
+        spec, value = key.metadata, data[key.name]
+        _require(spec["check"](value), key.name, f"needs {spec['valid']}")
+        values[key.name] = spec["convert"](value)
     cfg = ExperimentConfig(**values)
     _require(
         not (cfg.field_cheb and cfg.field_poly),
@@ -517,7 +513,7 @@ def _load_config(args) -> ExperimentConfig:
         if value not in (None, ""):  # an empty --n overrides nothing
             flags[key] = parse(value) if parse else value
     if isinstance(data, dict):  # anything else is parse_config's error
-        data = {"potential": [0.0, 0.0, 2.0], **data, **flags}
+        data = {**data, **flags}
     return parse_config(data)
 
 

@@ -50,13 +50,7 @@ class HypothesisError(DomainError):
 
 
 class SeparationError(HypothesisError):
-    """Singularity locations are not separated from each other or from the
-    endpoints by a positive distance."""
-
-
-class PositivityError(HankelFHError):
-    """The orthogonal-polynomial recurrence path requires a positive weight
-    (all alpha real, all beta purely imaginary)."""
+    """Singularity locations do not strictly increase."""
 
 
 class ConvergenceError(HankelFHError):

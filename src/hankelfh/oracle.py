@@ -14,11 +14,13 @@ the determinant. Hankel moment matrices are exponentially ill-conditioned in
 n, hence the default working precision of max(256, 48 n) bits; the factor is
 validated by the precision-robustness tests rather than assumed.
 
-The orthogonal-polynomial recurrence, in float64 for positive weights: the
-Stieltjes procedure on one Gauss-Jacobi panel per interval between -X, the
-t_j and X, the Jacobi weight carrying the ends' |x - t_j|^alpha_j; 2N nodes
-per panel must reproduce the value at N = 8n + 200 to 1e-10. It shares no
-nodes, cutoff or arithmetic with the moment route: each checks the other.
+The orthogonal-polynomial recurrence, in float64 for real alpha: the
+Stieltjes procedure in the bilinear form sum w p q on one Gauss-Jacobi panel
+per interval between -X, the t_j and X, the Jacobi weight carrying the ends'
+|x - t_j|^alpha_j, the log-weights the panel's jump factor; 2N nodes per
+panel must reproduce the value at N = 8n + 200 to 1e-10 in log_abs and
+phase. It shares no nodes, cutoff or arithmetic with the moment route: each
+checks the other.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from numpy.polynomial import chebyshev as npcheb
 from scipy.special import betaln
 
 from .equilibrium import Potential
-from .errors import ConvergenceError, DomainError, PositivityError
+from .errors import ConvergenceError, DomainError
 from .singularities import SingularityConfig, as_field
 
 MOMENT_DETERMINANT = "moment_determinant"
@@ -85,9 +87,9 @@ class WeightSpec:
 
     @property
     def is_positive(self):
-        """True when the weight is a positive function: every alpha real and
-        every beta purely imaginary, so each jump factor e^{+-i pi beta} is a
-        positive constant (this covers every thinning weight)."""
+        """True when every alpha is real and every beta purely imaginary (as
+        in every thinning weight): each jump factor e^{+-i pi beta} is then a
+        positive constant, and both routes run in real arithmetic."""
         return all(s.alpha.imag == 0.0 and s.beta.real == 0.0 for s in self.cfg)
 
 
@@ -100,7 +102,8 @@ class HankelResult:
     working precision reproduced log_abs to 1e-8. A determinant that is
     exactly zero is reported with is_zero=True rather than as an error.
     The float64 recurrence route reports precision_bits = 53 and
-    log_abs_hp = None, and returns only once its node-doubling check passes.
+    log_abs_hp = None, and a phase that is 0 for a positive weight; it
+    returns only once its node-doubling check passes in log_abs and phase.
     """
 
     log_abs: float
@@ -334,9 +337,9 @@ def _estimate_abs_sums(points, n_mom):
     return [float(t) for t in log2_t], float(lm.max())
 
 
-def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, positive):
+def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, real_alpha):
     """Name the moment whose last change overshot its tolerance the most,
-    the determinant size, and for a positive weight the float64 route."""
+    the determinant size, and for real alpha the float64 route."""
     def overshoot(j):  # log2 of |change| / tolerance
         t = abs_sums[j]
         tol = math.log2(t) + tol_exp if t else -math.inf
@@ -345,8 +348,8 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, positive):
     failed = [j for j, t in enumerate(abs_sums)
               if abs(cur[j] - prev[j]) > mp.mpf((t, tol_exp))]
     j = max(failed, key=overshoot)
-    route = ("; the weight is positive, so op_recurrence_log_det computes this "
-             "determinant in float64") if positive else ""
+    route = ("; every alpha is real, so op_recurrence_log_det computes this "
+             "determinant in float64") if real_alpha else ""
     return (
         f"moment quadrature stalled at level {_MAX_LEVEL}: moment j = {j} "
         f"last changed by 2^{overshoot(j):.4g} times its tolerance "
@@ -463,7 +466,8 @@ def compute_moments(ws, count, precision_bits):
                 break
             if level == _MAX_LEVEL:
                 raise ConvergenceError(_stall_message(
-                    cur, prev, abs_sums, tol_exp, X, workprec, count, ws.is_positive))
+                    cur, prev, abs_sums, tol_exp, X, workprec, count,
+                    not evaluator.complex_alpha))
             prev = cur
 
         log2_t = [math.log2(t) - G if t else -math.inf for t in abs_sums]
@@ -566,10 +570,11 @@ def _gauss_jacobi(N, a, b):
 
 
 def _recurrence_log_det(ws, X, N):
-    """log D_n of |w| on one N-point Gauss-Jacobi panel per interval between
-    -X, the t_j and X (the Jacobi weight carries the ends' |x - t|^alpha), by
-    the Stieltjes procedure on orthonormal polynomials, weights shifted by
-    their maximum: log D_n = n log h_0 + sum_k 2(n - k) log b_k."""
+    """Complex log D_n of w on one N-point Gauss-Jacobi panel per interval
+    between -X, the t_j and X (the Jacobi weight carries the ends'
+    |x - t|^alpha), by the Stieltjes procedure in sum w p q (np.dot does not
+    conjugate), weights shifted by their largest modulus:
+    log D_n = n log h_0 + sum_k 2(n - k) log b_k."""
     n, sings = ws.n, list(ws.cfg)
     bounds = [-X] + [s.t for s in sings] + [X]
     xs, logs = [], []
@@ -577,43 +582,49 @@ def _recurrence_log_det(ws, X, N):
         alpha_left = sings[p - 1].alpha.real if p > 0 else 0.0
         alpha_right = sings[p].alpha.real if p < len(sings) else 0.0
         u, log_q = _gauss_jacobi(N, alpha_right, alpha_left)
+        jump = _panel_jump(sings, p)
         half = (bounds[p + 1] - bounds[p]) / 2
         xs.append(bounds[p] + half * (1 + u))
         logs.append(
             _log_abs_weight(ws, xs[-1], skip=(p - 1, p)) + log_q
             + (1 + alpha_left + alpha_right) * np.log(half)
-            - np.pi * _panel_jump(sings, p).imag
+            + (-np.pi * jump.imag if ws.is_positive else 1j * np.pi * jump)
         )
     x, log_w = np.concatenate(xs), np.concatenate(logs)
-    d = np.exp(log_w - log_w.max())
-    log_det = n * (np.log(d.sum()) + log_w.max())
-    q_prev, q, b = 0.0, np.full_like(x, 1 / np.sqrt(d.sum())), 0.0
+    shift = log_w.real.max()
+    d = np.exp(log_w - shift)
+    log_det = n * (np.log(d.sum()) + shift)
+    q_prev, q, b = 0.0, np.full_like(d, 1 / np.sqrt(d.sum())), 0.0
     for k in range(1, n):
         r = (x - np.dot(d * q, x * q)) * q - b * q_prev
         b = np.sqrt(np.dot(d * r, r))
-        if not b > 0:
-            raise ConvergenceError(f"squared norm h_{k} not positive")
+        if b == 0 or not np.isfinite(b):
+            raise ConvergenceError(f"squared norm h_{k} zero or not finite")
         log_det += 2 * (n - k) * np.log(b)
         q_prev, q = q, r / b
-    return float(log_det)
+    return complex(log_det)
 
 
 def op_recurrence_log_det(ws):
-    """log D_n of a positive weight (alpha real, beta purely imaginary) by the
-    Stieltjes procedure on a float64 Gauss-Jacobi discretisation, sharing no
-    nodes, cutoff or arithmetic with the moment determinant. The value at
-    N = 8n + 200 nodes per panel is returned once 2N nodes reproduce it to
-    1e-10; otherwise ConvergenceError names both."""
-    if not ws.is_positive:
-        raise PositivityError("orthogonal-polynomial recurrence requires a "
-                              "positive weight (real alpha, purely imaginary beta)")
+    """log D_n of a weight with real alpha by the Stieltjes procedure on a
+    float64 Gauss-Jacobi discretisation, sharing no nodes, cutoff or
+    arithmetic with the moment determinant. The value at N = 8n + 200 nodes
+    per panel is returned once 2N nodes reproduce it to 1e-10 in log_abs and
+    in phase mod 2 pi; otherwise ConvergenceError names both. Complex alpha
+    raises DomainError: Gauss-Jacobi resolves |x - t|^{i Im alpha} at a panel
+    end only algebraically, so the N/2N gap would understate the error."""
+    for s in ws.cfg:
+        if s.alpha.imag != 0.0:
+            raise DomainError(f"t = {s.t}: the recurrence needs real alpha, got {s.alpha}")
     n, N = ws.n, 8 * ws.n + 200
     X = _find_cutoff(ws, 2 * n - 2, _FLOAT_BITS)
     coarse, fine = (_recurrence_log_det(ws, X, m) for m in (N, 2 * N))
-    if not abs(coarse - fine) <= 1e-10:
+    phase = wrap_phase(coarse.imag)
+    if not (abs(coarse.real - fine.real) <= 1e-10
+            and abs(wrap_phase(coarse.imag - fine.imag)) <= 1e-10):
         raise ConvergenceError(
-            f"Gauss-Jacobi recurrence unresolved: log D_{n} = {coarse!r} at "
-            f"{N} nodes per panel, {fine!r} at {2 * N}"
+            f"Gauss-Jacobi recurrence unresolved: log D_{n} = {coarse.real!r}, phase "
+            f"{phase!r} at {N} nodes per panel, {fine.real!r}, "
+            f"{wrap_phase(fine.imag)!r} at {2 * N}"
         )
-    return HankelResult(coarse, 0.0, n, _FLOAT_BITS, OP_RECURRENCE)
-
+    return HankelResult(coarse.real, phase, n, _FLOAT_BITS, OP_RECURRENCE)

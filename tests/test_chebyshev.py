@@ -1,5 +1,7 @@
 """Chebyshev primitives against independent quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,17 @@ def test_log_kernel_exterior_quadrature():
 
         oracle, _ = quad(integrand, -1, 1, limit=200)
         assert abs(hf.log_kernel_integral(psi, x) - 2 * oracle) < 1e-10
+
+
+def test_log_kernel_far_exterior_is_finite(gue_measure):
+    # x * x overflows beyond about 1.3e154; the potential is 2 log|x| there
+    psi = gue_measure.psi
+    x = np.array([1e160, -1e160, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = hf.log_kernel_integral(psi, x)
+    expected = 2 * np.log(np.abs(x))
+    assert np.all(np.abs(values - expected) <= 1e-15 * expected)
 
 
 @pytest.mark.parametrize("coeffs", [

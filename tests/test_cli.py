@@ -80,6 +80,11 @@ def test_parse_config_field_precise_errors():
             parse_config({"potential": [0, 0, 2.0], key: value})
 
 
+def test_parse_config_defaults_to_the_gaussian_potential():
+    # every key has a default; without "potential" V is 2 x^2
+    assert parse_config({}).potential == [0.0, 0.0, 2.0]
+
+
 @pytest.mark.parametrize(
     "key, value",
     UNCHECKED_BEFORE,

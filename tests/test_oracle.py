@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 import hankelfh as hf
 from hankelfh.chebyshev import ChebSeries
 import hankelfh.oracle as oracle_mod
-from hankelfh.errors import (
-    ConvergenceError,
-    DomainError,
-    HankelFHError,
-    PositivityError,
-)
-from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE
+from hankelfh.errors import ConvergenceError, DomainError, HankelFHError
+from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE, wrap_phase
 
 
 def gue_weight(n):
@@ -166,10 +161,22 @@ def test_recurrence_sees_under_resolved_moments(monkeypatch):
     assert abs(b.log_abs - hf.gue_exact_log(4)) < 1e-12
 
 
-def test_recurrence_requires_positive_weight():
-    # a real beta makes the jump factor e^{+-i pi beta} complex
-    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1),))
-    with pytest.raises(PositivityError):
+def test_recurrence_takes_complex_beta_and_refuses_complex_alpha():
+    # a real beta makes the jump factor e^{+-i pi beta} complex; the
+    # recurrence runs in the bilinear form and must match the moment route
+    for sings, n in (
+        (((0.0, 0.0, 0.1),), 8),
+        (((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j)), 8),  # jump_compare's pair
+    ):
+        cfg = hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings))
+        ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, n)
+        a = hf.oracle_log_det(ws)
+        b = hf.op_recurrence_log_det(ws)
+        assert abs(a.log_abs - b.log_abs) < 1e-12, sings
+        assert abs(wrap_phase(a.phase - b.phase)) < 1e-12, sings
+    # Gauss-Jacobi resolves |x - t|^{i Im alpha} only algebraically
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
+    with pytest.raises(DomainError, match=r"^t = 0\.2: .* real alpha, got \(0\.5\+0\.3j\)$"):
         hf.op_recurrence_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 3))
 
 
@@ -183,12 +190,12 @@ def test_gauss_jacobi_rules_are_cached_and_read_only():
 
 
 @st.composite
-def positive_weights(draw, max_n):
-    """A positive weight: the Gaussian potential or an even quartic with
-    support [-1, 1], a 4-term field (no T_3 term under the Gaussian, where
-    e^W would outgrow e^{-nV}), 1-3 singularities in [-0.9, 0.9] at least
-    0.05 apart with real alpha in (-1, 3] and beta = i c, |c| <= 0.3, and
-    n <= max_n."""
+def weights(draw, max_n):
+    """A weight from the whole hypothesis domain: the Gaussian potential or
+    an even quartic with support [-1, 1], a 4-term field (no T_3 term under
+    the Gaussian, where e^W would outgrow e^{-nV}), 1-3 singularities in
+    [-0.9, 0.9] at least 0.05 apart with Re alpha in (-1, 3], Im alpha 0 or
+    in [-1, 1], |Re beta| < 1/4 and |Im beta| <= 0.3, and n <= max_n."""
     c4 = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
     V = hf.Potential([0.0, 0.0, 2.0 - 1.5 * c4, 0.0, c4])
     w = draw(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
@@ -196,8 +203,13 @@ def positive_weights(draw, max_n):
     ts = sorted(draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3)))
     assume(all(b - a >= 0.05 for a, b in zip(ts, ts[1:])))
     sings = tuple(
-        hf.Singularity(t, draw(st.floats(-1.0, 3.0, exclude_min=True)),
-                       1j * draw(st.floats(-0.3, 0.3)))
+        hf.Singularity(
+            t,
+            complex(draw(st.floats(-1.0, 3.0, exclude_min=True)),
+                    draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))),
+            complex(draw(st.floats(-0.25, 0.25, exclude_min=True, exclude_max=True)),
+                    draw(st.floats(-0.3, 0.3))),
+        )
         for t in ts
     )
     return hf.WeightSpec(V, W, hf.SingularityConfig(sings), draw(st.integers(1, max_n)))
@@ -214,28 +226,31 @@ def reflected(ws):
 
 
 @settings(max_examples=100, deadline=None)
-@given(positive_weights(max_n=12))
-def test_recurrence_over_the_positive_domain(ws):
-    # a finite, reflection-invariant value or a typed error (such as an
-    # unresolved discretisation), never anything else
+@given(weights(max_n=12))
+def test_recurrence_over_the_whole_domain(ws):
+    # a finite, reflection-invariant value or a typed error (complex alpha,
+    # an unresolved discretisation), never anything else
     try:
-        value = hf.op_recurrence_log_det(ws).log_abs
+        value = hf.op_recurrence_log_det(ws)
     except HankelFHError:
         return
-    assert np.isfinite(value)
-    assert abs(hf.op_recurrence_log_det(reflected(ws)).log_abs - value) <= 1e-10
+    assert np.isfinite(value.log_abs)
+    mirror = hf.op_recurrence_log_det(reflected(ws))
+    assert abs(mirror.log_abs - value.log_abs) <= 1e-10
+    assert abs(wrap_phase(mirror.phase - value.phase)) <= 1e-10
 
 
 @settings(max_examples=10, deadline=None)
-@given(positive_weights(max_n=3))
-def test_recurrence_matches_moment_determinant_over_the_positive_domain(ws):
+@given(weights(max_n=3))
+def test_recurrence_matches_moment_determinant_over_the_whole_domain(ws):
     try:
-        value = hf.op_recurrence_log_det(ws).log_abs
+        value = hf.op_recurrence_log_det(ws)
     except HankelFHError:  # a typed refusal, allowed by the test above
         return
     det = hf.oracle_log_det(ws, 256)
     assert det.converged
-    assert abs(value - det.log_abs) <= 1e-10
+    assert abs(value.log_abs - det.log_abs) <= 1e-10
+    assert abs(wrap_phase(value.phase - det.phase)) <= 1e-10
 
 
 # ------------------------------------------------------------------ invariants
@@ -384,7 +399,7 @@ def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
 def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     # one refinement step cannot converge; the error must say where (moment
     # index, cutoff, working bits, determinant size), by how much (bits over
-    # tolerance) and, for a positive weight, that the float64 route exists
+    # tolerance) and, for real alpha, that the float64 route exists
     monkeypatch.setattr(oracle_mod, "_MAX_LEVEL", oracle_mod._START_LEVEL + 1)
     with pytest.raises(ConvergenceError) as info:
         hf.compute_moments(gue_weight(6), 6, 256)
@@ -404,16 +419,21 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
     assert message.endswith(
-        "working bits) for the 6 x 6 determinant; the weight is positive, "
+        "working bits) for the 6 x 6 determinant; every alpha is real, "
         "so op_recurrence_log_det computes this determinant in float64"
     )
 
-    # a jump makes the weight complex: no float64 route to point to
-    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.0, 0.1),))
-    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 3)
-    with pytest.raises(ConvergenceError) as info:
-        hf.compute_moments(ws, 3, 256)
-    assert str(info.value).endswith("working bits) for the 3 x 3 determinant")
+    # a jump makes the weight complex but keeps alpha real: the float64
+    # route still applies; complex alpha leaves none to point to
+    for alpha, beta, route in ((0.0, 0.1, True), (0.5 + 0.3j, 0.0, False)):
+        cfg = hf.SingularityConfig((hf.Singularity(0.0, alpha, beta),))
+        ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 3)
+        with pytest.raises(ConvergenceError) as info:
+            hf.compute_moments(ws, 3, 256)
+        assert str(info.value).endswith(
+            "computes this determinant in float64" if route
+            else "working bits) for the 3 x 3 determinant"
+        )
 
 
 def test_cutoff_search_failure_names_the_last_cutoff():

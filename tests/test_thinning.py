@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hankelfh as hf
 from hankelfh.errors import DomainError, HypothesisError
+from hankelfh.oracle import wrap_phase
 
 TWO_PI = 2.0 * np.pi
 
@@ -171,6 +172,27 @@ def test_correlation_against_oracle_ratio(gue_potential, gue_measure):
     # both weights are positive, so both phases are 0
     oracle = num.log_abs - den.log_abs - 1j * np.pi * beta
     assert abs(pred.value - oracle) < 0.02
+
+
+def test_correlation_with_complex_beta_approaches_the_exact_ratio(gue_potential, gue_measure):
+    # the paper's conditional correlation with a complex jump exponent and a
+    # conditioning beta_*; the exact ratio comes from the float64 recurrence,
+    # which takes the complex-beta numerator
+    cfg = hf.SingularityConfig((hf.Singularity(0.25, 0.5, 0.1 + 0.05j),))
+    base_beta = 0.02j
+    den_cfg = hf.SingularityConfig((hf.Singularity(0.25, 0.0, base_beta),))
+    residuals = []
+    for n in (16, 64):
+        pred = hf.correlation_log(gue_potential, gue_measure, None, cfg, [base_beta], n)
+        num, den = (
+            hf.op_recurrence_log_det(hf.WeightSpec(gue_potential, None, c, n))
+            for c in (cfg.with_betas([0.1 + 0.05j + base_beta]), den_cfg)
+        )
+        exact = (num.log_abs - den.log_abs + 1j * (num.phase - den.phase)
+                 - 1j * np.pi * (0.1 + 0.05j))
+        diff = pred.value - exact
+        residuals.append(abs(complex(diff.real, wrap_phase(diff.imag))))
+    assert residuals[1] < 5e-3 and residuals[1] < residuals[0], residuals
 
 
 def test_correlation_validates_combined_betas(gue_potential, gue_measure):
