@@ -11,22 +11,28 @@ Re(alpha) < 0 the node enumeration runs correspondingly further
 panel and by the sign of x, with fractional bits from a written rounding
 bound (_fraction_bits). A pivoted triangular factorisation in mpmath gives
 the determinant. Hankel moment matrices are exponentially ill-conditioned in
-n, hence the default working precision of max(256, 48 n) bits; the factor is
+n, hence the working-precision cap of max(256, 48 n) bits; the factor is
 validated by the precision-robustness tests rather than assumed.
 
 The orthogonal-polynomial recurrence, in float64 for real alpha: the
 Stieltjes procedure in the bilinear form sum w p q on one Gauss-Jacobi panel
 per interval between -X, the t_j and X, the Jacobi weight carrying the ends'
 |x - t_j|^alpha_j, the log-weights the panel's jump factor; 2N nodes per
-panel must reproduce the value at N = 8n + 200 to 1e-10 in log_abs and
-phase. It shares no nodes, cutoff or arithmetic with the moment route: each
-checks the other.
+panel must reproduce the value at N = 8n + 200 to AGREEMENT_TOL in log_abs
+and phase. It shares no nodes, cutoff or arithmetic with the moment route:
+each checks the other.
+
+oracle_log_det runs the moment route and takes the recurrence's certified
+value, where there is one, as its reference: by default it climbs a ladder
+of 128, 256, 512, ... bits up to the cap and stops at the first rung that
+agrees with the reference to AGREEMENT_TOL (without a reference only the cap
+runs), and its ``converged`` requires that agreement at any precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -49,10 +55,15 @@ _MAX_LEVEL = 11
 # spare fractional bits of the fixed-point moment sums (see _fraction_bits)
 _HEADROOM_BITS = 32
 _FLOAT_BITS = 53  # the recurrence route runs in float64
+# log_abs and phase (mod 2 pi) agreement of the recurrence's N/2N certificate
+# and of the moment route with the recurrence
+AGREEMENT_TOL = 1e-10
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def default_precision_bits(n):
+    """The moment route's working bits without a reference, and the cap of
+    the precision ladder (see oracle_log_det)."""
     return max(256, 48 * int(n))
 
 
@@ -60,6 +71,12 @@ def wrap_phase(p):
     """A phase in radians mapped to (-pi, pi]."""
     w = (p + np.pi) % (2.0 * np.pi) - np.pi
     return w + 2.0 * np.pi if w <= -np.pi else w
+
+
+def _agree(log_abs_a, phase_a, log_abs_b, phase_b):
+    """Two log-determinants within AGREEMENT_TOL in log_abs and in phase mod 2 pi."""
+    return (abs(log_abs_a - log_abs_b) <= AGREEMENT_TOL
+            and abs(wrap_phase(phase_a - phase_b)) <= AGREEMENT_TOL)
 
 
 @dataclass(frozen=True)
@@ -98,12 +115,15 @@ class HankelResult:
     """Log-determinant of a Hankel moment matrix with precision metadata.
 
     log_abs/phase are float views; log_abs_hp retains the full-precision
-    mpmath value. ``converged`` records whether a recomputation at half the
-    working precision reproduced log_abs to 1e-8. A determinant that is
-    exactly zero is reported with is_zero=True rather than as an error.
-    The float64 recurrence route reports precision_bits = 53 and
-    log_abs_hp = None, and a phase that is 0 for a positive weight; it
-    returns only once its node-doubling check passes in log_abs and phase.
+    mpmath value. From hankel_log_det, ``converged`` records whether a
+    recomputation at half the working precision reproduced log_abs to 1e-8;
+    oracle_log_det further requires agreement with the recurrence's certified
+    value wherever that exists, and reports the precision_bits of the rung
+    it stopped at. A determinant that is exactly zero is reported with
+    is_zero=True rather than as an error. The float64 recurrence route
+    reports precision_bits = 53 and log_abs_hp = None, and a phase that is 0
+    for a positive weight; it returns only once its node-doubling check
+    passes in log_abs and phase.
     """
 
     log_abs: float
@@ -488,6 +508,8 @@ def hankel_log_det(moments, k, precision_bits):
     (complex weights may produce isolated zeros), never as an exception.
     The factorisation is repeated at half the working precision;
     disagreement beyond 1e-8 in log_abs flags the result as unconverged.
+    This checks the factorisation only, not the moments: oracle_log_det
+    checks those against the recurrence.
     """
     if len(moments) < 2 * k - 1:
         raise DomainError(f"need {2 * k - 1} moments for a {k}x{k} determinant")
@@ -532,11 +554,47 @@ def hankel_log_det(moments, k, precision_bits):
                         converged=bool(converged), log_abs_hp=log_abs)
 
 
+def _precision_ladder(cap):
+    """128, 256, 512, ... bits below cap, then cap."""
+    bits = 128
+    while bits < cap:
+        yield bits
+        bits *= 2
+    yield cap
+
+
 def oracle_log_det(ws, precision_bits=None):
-    """compute_moments + hankel_log_det for the k = n determinant of ws."""
-    pb = default_precision_bits(ws.n) if precision_bits is None else precision_bits
-    moments = compute_moments(ws, ws.n, pb)
-    return hankel_log_det(moments, ws.n, pb)
+    """compute_moments + hankel_log_det for the k = n determinant of ws.
+
+    The reference is op_recurrence_log_det(ws), independent of the moment
+    route; there is none for complex alpha (DomainError) or where its
+    certificate fails (ConvergenceError). With no precision_bits given and a
+    reference, the moment route runs at 128, 256, 512, ... bits up to
+    default_precision_bits(n) and stops at the first rung that agrees with
+    the reference to AGREEMENT_TOL in log_abs and phase mod 2 pi; without a
+    reference it runs at that cap only. An explicit precision_bits is a
+    single rung. ``converged`` is the half-precision recheck and, where a
+    reference exists, that agreement; precision_bits is the rung returned.
+    A ConvergenceError of the moment quadrature propagates: more bits only
+    need more quadrature levels.
+    """
+    try:
+        ref = op_recurrence_log_det(ws)
+    except (DomainError, ConvergenceError):
+        ref = None
+    if precision_bits is not None:
+        rungs = (precision_bits,)
+    elif ref is None:
+        rungs = (default_precision_bits(ws.n),)
+    else:
+        rungs = _precision_ladder(default_precision_bits(ws.n))
+    for pb in rungs:
+        result = hankel_log_det(compute_moments(ws, ws.n, pb), ws.n, pb)
+        agrees = ref is None or _agree(result.log_abs, result.phase,
+                                       ref.log_abs, ref.phase)
+        if agrees:
+            break
+    return replace(result, converged=result.converged and agrees)
 
 
 @lru_cache(maxsize=64)
@@ -609,10 +667,11 @@ def op_recurrence_log_det(ws):
     """log D_n of a weight with real alpha by the Stieltjes procedure on a
     float64 Gauss-Jacobi discretisation, sharing no nodes, cutoff or
     arithmetic with the moment determinant. The value at N = 8n + 200 nodes
-    per panel is returned once 2N nodes reproduce it to 1e-10 in log_abs and
-    in phase mod 2 pi; otherwise ConvergenceError names both. Complex alpha
-    raises DomainError: Gauss-Jacobi resolves |x - t|^{i Im alpha} at a panel
-    end only algebraically, so the N/2N gap would understate the error."""
+    per panel is returned once 2N nodes reproduce it to AGREEMENT_TOL in
+    log_abs and in phase mod 2 pi; otherwise ConvergenceError names both.
+    Complex alpha raises DomainError: Gauss-Jacobi resolves
+    |x - t|^{i Im alpha} at a panel end only algebraically, so the N/2N gap
+    would understate the error."""
     for s in ws.cfg:
         if s.alpha.imag != 0.0:
             raise DomainError(f"t = {s.t}: the recurrence needs real alpha, got {s.alpha}")
@@ -620,8 +679,7 @@ def op_recurrence_log_det(ws):
     X = _find_cutoff(ws, 2 * n - 2, _FLOAT_BITS)
     coarse, fine = (_recurrence_log_det(ws, X, m) for m in (N, 2 * N))
     phase = wrap_phase(coarse.imag)
-    if not (abs(coarse.real - fine.real) <= 1e-10
-            and abs(wrap_phase(coarse.imag - fine.imag)) <= 1e-10):
+    if not _agree(coarse.real, coarse.imag, fine.real, fine.imag):
         raise ConvergenceError(
             f"Gauss-Jacobi recurrence unresolved: log D_{n} = {coarse.real!r}, phase "
             f"{phase!r} at {N} nodes per panel, {fine.real!r}, "

@@ -1,5 +1,6 @@
 """Extended-precision moments and determinants against closed forms."""
 
+import dataclasses
 import re
 
 import mpmath as mp
@@ -143,9 +144,9 @@ def test_method_agreement_moderate_n():
 
 
 def test_recurrence_sees_under_resolved_moments(monkeypatch):
-    # a moment-route cutoff of 1.2 drops about 4e-3 of log D_4 while the
-    # half-precision recheck still reports converged; the recurrence keeps its
-    # own cutoff and nodes, so the two routes must now disagree
+    # a moment-route cutoff of 1.2 drops about 4e-3 of log D_4, which the
+    # half-precision recheck cannot see; the recurrence keeps its own cutoff
+    # and nodes, so the two routes disagree and converged says so
     find_cutoff = oracle_mod._find_cutoff
 
     def short_cutoff(ws, max_power, precision_bits):
@@ -156,9 +157,68 @@ def test_recurrence_sees_under_resolved_moments(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_find_cutoff", short_cutoff)
     a = hf.oracle_log_det(gue_weight(4))
     b = hf.op_recurrence_log_det(gue_weight(4))
-    assert a.converged
+    assert not a.converged
     assert abs(a.log_abs - b.log_abs) > 1e-6
     assert abs(b.log_abs - hf.gue_exact_log(4)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_gue_converges_at_default_precision(n):
+    # at the fixed max(256, 48 n) bits the moment quadrature stalled at level
+    # 11 from n = 48; the ladder's 128-bit rung already agrees with the
+    # recurrence
+    res = hf.oracle_log_det(gue_weight(n))
+    assert res.converged
+    assert abs(res.log_abs - hf.gue_exact_log(n)) < 1e-9
+
+
+@pytest.fixture
+def rung_bits(monkeypatch):
+    """The precision_bits of every compute_moments call, in order."""
+    bits = []
+    compute_moments = oracle_mod.compute_moments
+
+    def spy(ws, count, precision_bits):
+        bits.append(precision_bits)
+        return compute_moments(ws, count, precision_bits)
+
+    monkeypatch.setattr(oracle_mod, "compute_moments", spy)
+    return bits
+
+
+def test_ladder_stops_at_the_first_agreeing_rung(rung_bits):
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.0, 0.1j),))
+    res = hf.oracle_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 8))
+    assert rung_bits == [128]
+    assert res.precision_bits == 128 and res.converged
+
+
+def test_ladder_runs_the_cap_once_without_a_reference(rung_bits):
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
+    res = hf.oracle_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 6))
+    assert rung_bits == [hf.default_precision_bits(6)] == [288]
+    assert res.precision_bits == 288 and res.converged
+
+
+def test_explicit_precision_is_a_single_rung(rung_bits):
+    res = hf.oracle_log_det(gue_weight(4), 320)
+    assert rung_bits == [320]
+    assert res.precision_bits == 320 and res.converged
+
+
+def test_ladder_climbs_to_the_cap_on_disagreement(monkeypatch, rung_bits):
+    recurrence = oracle_mod.op_recurrence_log_det
+
+    def shifted(ws):
+        ref = recurrence(ws)
+        return dataclasses.replace(ref, log_abs=ref.log_abs + 1e-6)
+
+    monkeypatch.setattr(oracle_mod, "op_recurrence_log_det", shifted)
+    res = hf.oracle_log_det(gue_weight(8))
+    assert rung_bits == [128, 256, 384]
+    assert res.precision_bits == 384
+    assert not res.converged
+    assert abs(res.log_abs - hf.gue_exact_log(8)) < 1e-12
 
 
 def test_recurrence_takes_complex_beta_and_refuses_complex_alpha():
