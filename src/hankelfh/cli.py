@@ -21,9 +21,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -32,8 +30,8 @@ from .asymptotics import predict_log_hankel
 from .chebyshev import ChebSeries
 from .equilibrium import Potential, RescaledProblem, equilibrium_measure, rescale
 from .errors import ConvergenceError, HankelFHError, RegularityError
-from .montecarlo import mc_gap_probability
-from .oracle import WeightSpec, oracle_log_det, wrap_phase
+from .montecarlo import MIN_SAMPLES, mc_gap_probability
+from .oracle import MIN_PRECISION_BITS, WeightSpec, oracle_log_det, wrap_phase
 from .singularities import Singularity, SingularityConfig, ThinningSpec
 from .thinning import gap_probability_log, thinning_to_betas
 
@@ -94,10 +92,13 @@ def _numbers_key():
     )
 
 
-def _count_key(flag, helptext):
+def _count_key(flag, helptext, minimum=0):
+    """A non-negative integer, 0 by default; any other value at least
+    ``minimum``."""
     return _key(
-        lambda v: _is_int(v) and v >= 0, "a non-negative integer", int,
-        flag=(flag, {"type": int, "help": helptext}), default=0,
+        lambda v: _is_int(v) and (v == 0 or v >= minimum),
+        f"0 or an integer >= {minimum}" if minimum else "a non-negative integer",
+        int, flag=(flag, {"type": int, "help": helptext}), default=0,
     )
 
 
@@ -134,13 +135,18 @@ class ExperimentConfig:
         lambda v: sorted(set(v)), default_factory=list,
         flag=("--n", {"help": "comma-separated list of matrix sizes", "parse": _int_list}),
     )
-    precision_bits: int = _count_key("--precision", "oracle precision bits")
+    precision_bits: int = _count_key(
+        "--precision", "oracle precision bits (0: the precision ladder)",
+        MIN_PRECISION_BITS,
+    )
     output_format: str = _key(
         lambda v: v in ("json", "csv"), "'json' or 'csv'", str, default="json",
         flag=("--format", {"choices": ("json", "csv"), "help": "output format"}),
     )
     seed: int = _count_key("--seed", "RNG seed")
-    mc_samples: int = _count_key("--mc-samples", "Monte Carlo samples")
+    mc_samples: int = _count_key(
+        "--mc-samples", "Monte Carlo samples (0: none)", MIN_SAMPLES
+    )
     thinning_boundaries: list = _numbers_key()
     thinning_sectors: list = _key(
         lambda v: _list_of(_is_int)(v) and len(set(v)) == len(v),
@@ -289,40 +295,29 @@ def cmd_predict(cfg: ExperimentConfig):
     return {"config": asdict(cfg), "rows": rows, "summary": summary}, 0
 
 
-def _oracle_row(ws: WeightSpec, precision_bits):
-    """Worker for one exact determinant."""
-    result = oracle_log_det(ws, precision_bits)
-    return {
-        "n": ws.n,
-        "log_abs": result.log_abs,
-        "phase": result.phase,
-        "precision_bits": result.precision_bits,
-        "method": result.method,
-        "converged": result.converged,
-        "is_zero": result.is_zero,
-    }
-
-
 def _run_oracle_rows(cfg: ExperimentConfig, prob: _Problem):
-    weights = [WeightSpec(prob.V, prob.W, prob.cfg, n) for n in cfg.n_list]
-    bits = [cfg.precision_bits or None] * len(weights)  # None: the oracle's default
-    rows = None
-    if len(weights) > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(len(weights), os.cpu_count() or 1)
-            ) as pool:
-                rows = list(pool.map(_oracle_row, weights, bits))
-        except (OSError, RuntimeError):
-            rows = None  # fall back to in-process evaluation
-    if rows is None:
-        rows = [_oracle_row(ws, pb) for ws, pb in zip(weights, bits)]
-    for row in rows:
-        corr = prob.correction(row["n"])
-        row["log_abs"] += corr.real
-        row["phase"] = wrap_phase(row["phase"] + corr.imag)
-        row["rescale_correction"] = _c(corr)
-    return sorted(rows, key=lambda r: r["n"])
+    """One exact determinant per n of cfg.n_list, in order and in this
+    process, so that cached quadrature rules carry over from one n to the
+    next; each row includes the rescaling correction."""
+    rows = []
+    for n in cfg.n_list:
+        result = oracle_log_det(
+            WeightSpec(prob.V, prob.W, prob.cfg, n), cfg.precision_bits or None
+        )
+        corr = prob.correction(n)
+        rows.append(
+            {
+                "n": n,
+                "log_abs": result.log_abs + corr.real,
+                "phase": wrap_phase(result.phase + corr.imag),
+                "precision_bits": result.precision_bits,
+                "method": result.method,
+                "converged": result.converged,
+                "is_zero": result.is_zero,
+                "rescale_correction": _c(corr),
+            }
+        )
+    return rows
 
 
 def cmd_oracle(cfg: ExperimentConfig):

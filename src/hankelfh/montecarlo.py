@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .singularities import ThinningSpec
 
+MIN_SAMPLES = 10_000  # below this the estimate means little
 _BATCH = 20_000  # samples per RNG stream, fewer past n = 100: 2e6 entries at most
 
 
@@ -70,8 +71,8 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    if samples < 10_000:
-        raise DomainError("need at least 10^4 samples for a meaningful estimate")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
     log_s = np.log(spec.s_tilde())
     ends = [-np.inf, *spec.boundaries, np.inf]
     size = max(1, min(_BATCH, 2_000_000 // n))

@@ -22,11 +22,12 @@ panel must reproduce the value at N = 8n + 200 to AGREEMENT_TOL in log_abs
 and phase. It shares no nodes, cutoff or arithmetic with the moment route:
 each checks the other.
 
-oracle_log_det runs the moment route and takes the recurrence's certified
-value, where there is one, as its reference: by default it climbs a ladder
-of 128, 256, 512, ... bits up to the cap and stops at the first rung that
-agrees with the reference to AGREEMENT_TOL (without a reference only the cap
-runs), and its ``converged`` requires that agreement at any precision.
+oracle_log_det runs the moment route and alone judges it: its reference is
+the recurrence's certified value where there is one, and otherwise the same
+moments factorised at half the bits. By default it climbs a ladder of 128,
+256, 512, ... bits up to the cap and stops at the first rung that agrees with
+the recurrence to AGREEMENT_TOL (without the recurrence only the cap runs);
+``converged`` is that agreement, in log_abs and phase.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ _MAX_LEVEL = 11
 # spare fractional bits of the fixed-point moment sums (see _fraction_bits)
 _HEADROOM_BITS = 32
 _FLOAT_BITS = 53  # the recurrence route runs in float64
+MIN_PRECISION_BITS = 128  # of the moment route, and its ladder's first rung
 # log_abs and phase (mod 2 pi) agreement of the recurrence's N/2N certificate
-# and of the moment route with the recurrence
+# and of the moment route with its reference
 AGREEMENT_TOL = 1e-10
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -115,15 +117,14 @@ class HankelResult:
     """Log-determinant of a Hankel moment matrix with precision metadata.
 
     log_abs/phase are float views; log_abs_hp retains the full-precision
-    mpmath value. From hankel_log_det, ``converged`` records whether a
-    recomputation at half the working precision reproduced log_abs to 1e-8;
-    oracle_log_det further requires agreement with the recurrence's certified
-    value wherever that exists, and reports the precision_bits of the rung
-    it stopped at. A determinant that is exactly zero is reported with
-    is_zero=True rather than as an error. The float64 recurrence route
-    reports precision_bits = 53 and log_abs_hp = None, and a phase that is 0
-    for a positive weight; it returns only once its node-doubling check
-    passes in log_abs and phase.
+    mpmath value. Only oracle_log_det sets ``converged`` (agreement with its
+    reference, see there) and reports the precision_bits of the rung it
+    stopped at; hankel_log_det judges nothing and leaves it True. A
+    determinant that is exactly zero is reported with is_zero=True rather
+    than as an error. The float64 recurrence route reports precision_bits =
+    53 and log_abs_hp = None, and a phase that is 0 for a positive weight;
+    it returns only once its node-doubling check passes in log_abs and
+    phase.
     """
 
     log_abs: float
@@ -391,7 +392,8 @@ def _nodes(level, only_odd, panels, evaluator, workprec):
 
 def compute_moments(ws, count, precision_bits):
     """Moments w_0 .. w_{2 count - 2} by progressive tanh-sinh panels, in
-    mpmath arithmetic at precision_bits >= 128 plus 64 guard bits.
+    mpmath arithmetic at precision_bits >= MIN_PRECISION_BITS plus 64 guard
+    bits.
 
     Refinement doubles the node density until every moment is stable
     relative to its absolute-value integral (the scale at which the
@@ -403,8 +405,8 @@ def compute_moments(ws, count, precision_bits):
     A panel's constant jump phase multiplies its sums once per level; only
     complex alpha adds per-node sums of q |w| cos(theta), q |w| sin(theta).
     """
-    if precision_bits < 128:
-        raise DomainError("precision_bits must be >= 128")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     if count < 1:
         raise DomainError("need count >= 1")
     n_mom = 2 * count - 1
@@ -501,62 +503,48 @@ def compute_moments(ws, count, precision_bits):
 
 
 def hankel_log_det(moments, k, precision_bits):
-    """log-determinant of the k x k Hankel matrix (w_{i+j-2}) by pivoted
-    triangular factorisation in mpmath arithmetic.
+    """log-determinant of the k x k Hankel matrix (w_{i+j-2}) by one pivoted
+    triangular factorisation in mpmath arithmetic at precision_bits plus 64
+    guard bits. It judges nothing: oracle_log_det checks the result.
 
     A vanishing pivot is reported as an explicit zero-determinant result
     (complex weights may produce isolated zeros), never as an exception.
-    The factorisation is repeated at half the working precision;
-    disagreement beyond 1e-8 in log_abs flags the result as unconverged.
-    This checks the factorisation only, not the moments: oracle_log_det
-    checks those against the recurrence.
     """
     if len(moments) < 2 * k - 1:
         raise DomainError(f"need {2 * k - 1} moments for a {k}x{k} determinant")
-
-    def factor(prec):
-        with mp.workprec(prec):
-            # unary + rounds each moment to the working precision
-            a = [[+mp.mpmathify(moments[i + j]) for j in range(k)] for i in range(k)]
-            log_abs = mp.mpf(0)
-            phase = mp.mpf(0)
-            swaps = 0
-            for col in range(k):
-                piv_row = max(range(col, k), key=lambda r: abs(a[r][col]))
-                piv = a[piv_row][col]
-                if piv == 0:
-                    return None, None
-                if piv_row != col:
-                    a[piv_row], a[col] = a[col], a[piv_row]
-                    swaps += 1
-                log_abs += mp.log(abs(piv))
-                phase += mp.arg(piv)  # 0 or pi for a real pivot
-                for r in range(col + 1, k):
-                    fac = a[r][col] / piv
-                    if fac == 0:
-                        continue
-                    row_r, row_c = a[r], a[col]
-                    for cc in range(col, k):
-                        row_r[cc] -= fac * row_c[cc]
-            if swaps % 2:
-                phase += mp.pi
-            return log_abs, phase
-
-    work = precision_bits + _GUARD_BITS
-    log_abs, phase = factor(work)
-    if log_abs is None:
-        return HankelResult(float("-inf"), 0.0, k, precision_bits,
-                            MOMENT_DETERMINANT, is_zero=True)
-    half_log_abs, _ = factor(max(128, work // 2))
-    converged = half_log_abs is not None and abs(float(log_abs - half_log_abs)) <= 1e-8
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        # unary + rounds each moment to the working precision
+        a = [[+mp.mpmathify(moments[i + j]) for j in range(k)] for i in range(k)]
+        log_abs = mp.mpf(0)
+        phase = mp.mpf(0)
+        swaps = 0
+        for col in range(k):
+            piv_row = max(range(col, k), key=lambda r: abs(a[r][col]))
+            piv = a[piv_row][col]
+            if piv == 0:
+                return HankelResult(float("-inf"), 0.0, k, precision_bits,
+                                    MOMENT_DETERMINANT, is_zero=True)
+            if piv_row != col:
+                a[piv_row], a[col] = a[col], a[piv_row]
+                swaps += 1
+            log_abs += mp.log(abs(piv))
+            phase += mp.arg(piv)  # 0 or pi for a real pivot
+            for r in range(col + 1, k):
+                fac = a[r][col] / piv
+                if fac == 0:
+                    continue
+                row_r, row_c = a[r], a[col]
+                for cc in range(col, k):
+                    row_r[cc] -= fac * row_c[cc]
+        if swaps % 2:
+            phase += mp.pi
     return HankelResult(float(log_abs), wrap_phase(float(phase)), k,
-                        precision_bits, MOMENT_DETERMINANT,
-                        converged=bool(converged), log_abs_hp=log_abs)
+                        precision_bits, MOMENT_DETERMINANT, log_abs_hp=log_abs)
 
 
 def _precision_ladder(cap):
-    """128, 256, 512, ... bits below cap, then cap."""
-    bits = 128
+    """MIN_PRECISION_BITS, twice that, four times, ... below cap, then cap."""
+    bits = MIN_PRECISION_BITS
     while bits < cap:
         yield bits
         bits *= 2
@@ -564,19 +552,22 @@ def _precision_ladder(cap):
 
 
 def oracle_log_det(ws, precision_bits=None):
-    """compute_moments + hankel_log_det for the k = n determinant of ws.
+    """compute_moments + hankel_log_det for the k = n determinant of ws,
+    judged against a reference.
 
     The reference is op_recurrence_log_det(ws), independent of the moment
     route; there is none for complex alpha (DomainError) or where its
     certificate fails (ConvergenceError). With no precision_bits given and a
     reference, the moment route runs at 128, 256, 512, ... bits up to
     default_precision_bits(n) and stops at the first rung that agrees with
-    the reference to AGREEMENT_TOL in log_abs and phase mod 2 pi; without a
-    reference it runs at that cap only. An explicit precision_bits is a
-    single rung. ``converged`` is the half-precision recheck and, where a
-    reference exists, that agreement; precision_bits is the rung returned.
-    A ConvergenceError of the moment quadrature propagates: more bits only
-    need more quadrature levels.
+    the reference; without a reference it runs at that cap only, and its
+    reference is the same moments factorised at half the bits, which checks
+    the factorisation but not the moments. An explicit precision_bits is a
+    single rung. ``converged`` is agreement with the reference to
+    AGREEMENT_TOL in log_abs and phase mod 2 pi (never for a zero
+    determinant); precision_bits is the rung returned. A ConvergenceError of
+    the moment quadrature propagates: more bits only need more quadrature
+    levels.
     """
     try:
         ref = op_recurrence_log_det(ws)
@@ -589,12 +580,13 @@ def oracle_log_det(ws, precision_bits=None):
     else:
         rungs = _precision_ladder(default_precision_bits(ws.n))
     for pb in rungs:
-        result = hankel_log_det(compute_moments(ws, ws.n, pb), ws.n, pb)
-        agrees = ref is None or _agree(result.log_abs, result.phase,
-                                       ref.log_abs, ref.phase)
-        if agrees:
+        moments = compute_moments(ws, ws.n, pb)
+        result = hankel_log_det(moments, ws.n, pb)
+        check = ref if ref is not None else hankel_log_det(moments, ws.n, pb // 2)
+        converged = _agree(result.log_abs, result.phase, check.log_abs, check.phase)
+        if converged:
             break
-    return replace(result, converged=result.converged and agrees)
+    return replace(result, converged=converged)
 
 
 @lru_cache(maxsize=64)

@@ -35,12 +35,6 @@ def _residuals(V, measure, W, cfg, ns, bits):
     return out
 
 
-def _cap_bits(n):
-    """The moment route's fixed working bits before the precision ladder,
-    kept for A4 to A6 so that their oracle is no less precise than it was."""
-    return max(256, 48 * n)
-
-
 def _fit_exponent(ns, residuals):
     return -np.polyfit(np.log(ns), np.log(residuals), 1)[0]
 
@@ -113,8 +107,11 @@ def test_A4_general_pair_with_pairwise_sensitivity(gue_potential, gue_measure):
             )
         )
         ns = (8, 16, 24)
+        # A4 to A6 pass the ladder's cap, the fixed bits they used before it,
+        # so that their oracle is no less precise than it was
         oracle = {
-            n: hf.oracle_log_det(hf.WeightSpec(gue_potential, None, cfg, n), _cap_bits(n))
+            n: hf.oracle_log_det(hf.WeightSpec(gue_potential, None, cfg, n),
+                                 hf.default_precision_bits(n))
             for n in ns
         }
         res = []
@@ -153,7 +150,7 @@ def test_A5_potential_deformation(quartic_problem):
         V = rescaled.V
         cfg = hf.SingularityConfig()
         ns = (8, 16, 32)
-        res = _residuals(V, measure, None, cfg, ns, _cap_bits)
+        res = _residuals(V, measure, None, cfg, ns, hf.default_precision_bits)
         assert res[0] > res[1] > res[2], f"not decreasing: {res}"
         assert res[-1] < 0.05, f"final residual {res[-1]}"
         direct = hf.expansion_coefficients(V, measure, None, cfg).as_tuple()
@@ -172,7 +169,7 @@ def test_A6_field_deformation(gue_potential, gue_measure):
         W = ChebSeries([0.0, 0.5, 0.25])
         cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.8, 0.0),))
         ns = (8, 16, 32)
-        res = _residuals(gue_potential, gue_measure, W, cfg, ns, _cap_bits)
+        res = _residuals(gue_potential, gue_measure, W, cfg, ns, hf.default_precision_bits)
         assert res[0] > res[1] > res[2], f"not decreasing: {res}"
         coeffs = hf.expansion_coefficients(gue_potential, gue_measure, W, cfg)
         pair = coeffs.term_breakdown["C4"]["field_pair"].real

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hankelfh.oracle as oracle_mod
 from hankelfh.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
@@ -49,7 +50,9 @@ def test_parse_config_round_trip():
 
 
 # values that were read unchecked: tracebacks, errors naming no key, or
-# silently accepted (n_list [true]; a repeated sector kept its last s only)
+# silently accepted (n_list [true]; a repeated sector kept its last s only);
+# precision_bits and mc_samples below their minimum failed only deep in the
+# oracle or the sampler, without naming the key
 UNCHECKED_BEFORE = [
     ("support", ["a", 1]),
     ("support", [-1, float("inf")]),
@@ -57,6 +60,8 @@ UNCHECKED_BEFORE = [
     ("singularities", [{"t": "x"}]),
     ("n_list", [True]),
     ("thinning_sectors", [1, 1]),
+    ("precision_bits", 64),
+    ("mc_samples", 5000),
 ]
 
 
@@ -89,7 +94,7 @@ def test_parse_config_defaults_to_the_gaussian_potential():
     "key, value",
     UNCHECKED_BEFORE,
     ids=["support-text", "support-inf", "alpha-null", "t-text", "n_list-true",
-         "sectors-repeated"],
+         "sectors-repeated", "precision-below-128", "mc-samples-below-10000"],
 )
 def test_unchecked_inputs_exit_2_naming_the_key(tmp_path, capsys, key, value):
     path = write_config(tmp_path, {key: value})
@@ -335,6 +340,26 @@ def test_rescaled_support_matches_hand_rescaled_problem(capsys, tmp_path):
             assert ref["rescale_correction"] == {"re": 0.0, "im": 0.0}
             if command == "predict":
                 assert got["terms"] == ref["terms"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_multi_n_rows_equal_single_n_rows(tmp_path, capsys, command):
+    # one call evaluates its n in order in one process, sharing quadrature
+    # caches across n; that must change no value of any row. Each single-n
+    # call starts from empty caches, as in a fresh process
+    path = write_config(
+        tmp_path, {"singularities": [{"t": 0.2, "beta_im": 0.1}], "n_list": [4, 6, 8]}
+    )
+    code, out, _ = run_cli(capsys, command, "--config", path)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == [4, 6, 8]
+    for row in rows:
+        oracle_mod._tanh_sinh_nodes.cache_clear()
+        oracle_mod._gauss_jacobi.cache_clear()
+        code, out, _ = run_cli(capsys, command, "--config", path, "--n", str(row["n"]))
+        assert code == 0
+        assert json.loads(out)["rows"] == [row]
 
 
 def test_compare_single_n_no_fit(capsys, tmp_path):

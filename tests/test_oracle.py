@@ -200,6 +200,25 @@ def test_ladder_runs_the_cap_once_without_a_reference(rung_bits):
     assert res.precision_bits == 288 and res.converged
 
 
+def test_no_reference_check_sees_the_phase(monkeypatch):
+    # complex alpha has no recurrence reference, so the same moments
+    # factorised at half the bits are the reference; a difference in phase
+    # alone, of 1e-6, must refuse the result
+    factor = oracle_mod.hankel_log_det
+
+    def half_off_in_phase(moments, k, precision_bits):
+        res = factor(moments, k, precision_bits)
+        if precision_bits < hf.default_precision_bits(k):
+            res = dataclasses.replace(res, phase=res.phase + 1e-6)
+        return res
+
+    monkeypatch.setattr(oracle_mod, "hankel_log_det", half_off_in_phase)
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
+    res = hf.oracle_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 6))
+    assert res.precision_bits == 288
+    assert not res.converged
+
+
 def test_explicit_precision_is_a_single_rung(rung_bits):
     res = hf.oracle_log_det(gue_weight(4), 320)
     assert rung_bits == [320]
