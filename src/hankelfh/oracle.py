@@ -14,20 +14,21 @@ the determinant. Hankel moment matrices are exponentially ill-conditioned in
 n, hence the working-precision cap of max(256, 48 n) bits; the factor is
 validated by the precision-robustness tests rather than assumed.
 
-The orthogonal-polynomial recurrence, in float64 for real alpha: the
-Stieltjes procedure in the bilinear form sum w p q on one Gauss-Jacobi panel
-per interval between -X, the t_j and X, the Jacobi weight carrying the ends'
-|x - t_j|^alpha_j, the log-weights the panel's jump factor; 2N nodes per
-panel must reproduce the value at N = 8n + 200 to AGREEMENT_TOL in log_abs
-and phase. It shares no nodes, cutoff or arithmetic with the moment route:
-each checks the other.
+The orthogonal-polynomial recurrence, in float64 for every admitted
+weight: Lanczos in the bilinear form sum w p q on a graded Gauss-Legendre
+discretisation. Each interval between -X, the t_j and X is halved; a half
+ending at a t_j with alpha_j != 0 has geometric layers towards it (Schwab,
+p- and hp-FEM, 3.3) and a product-integration rule below them that carries
+|x - t_j|^alpha_j exactly (Atkinson 1997, 4.2), every other half plain
+Gauss-Legendre nodes. m = n + 25 doubled must reproduce the value to
+AGREEMENT_TOL in log_abs and phase, else m doubles. It shares no nodes,
+cutoff or arithmetic with the moment route: each checks the other.
 
-oracle_log_det runs the moment route and alone judges it: its reference is
-the recurrence's certified value where there is one, and otherwise the same
-moments factorised at half the bits. By default it climbs a ladder of 128,
-256, 512, ... bits up to the cap and stops at the first rung that agrees with
-the recurrence to AGREEMENT_TOL (without the recurrence only the cap runs);
-``converged`` is that agreement, in log_abs and phase.
+oracle_log_det runs the moment route and alone judges it against the
+recurrence's certified value. By default it climbs a ladder of 128, 256,
+512, ... bits up to the cap and stops at the first rung that agrees with
+the recurrence to AGREEMENT_TOL (where the recurrence raises, only the cap
+runs, unconverged); ``converged`` is that agreement, in log_abs and phase.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import to_fixed
 from numpy.polynomial import chebyshev as npcheb
-from scipy.special import betaln
 
 from .equilibrium import Potential
 from .errors import ConvergenceError, DomainError
@@ -57,7 +57,7 @@ _MAX_LEVEL = 11
 _HEADROOM_BITS = 32
 _FLOAT_BITS = 53  # the recurrence route runs in float64
 MIN_PRECISION_BITS = 128  # of the moment route, and its ladder's first rung
-# log_abs and phase (mod 2 pi) agreement of the recurrence's N/2N certificate
+# log_abs and phase (mod 2 pi) agreement of the recurrence's m/2m certificate
 # and of the moment route with its reference
 AGREEMENT_TOL = 1e-10
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -122,9 +122,9 @@ class HankelResult:
     stopped at; hankel_log_det judges nothing and leaves it True. A
     determinant that is exactly zero is reported with is_zero=True rather
     than as an error. The float64 recurrence route reports precision_bits =
-    53 and log_abs_hp = None, and a phase that is 0 for a positive weight;
-    it returns only once its node-doubling check passes in log_abs and
-    phase.
+    53 and log_abs_hp = None, and a phase that is exactly 0 for a positive
+    weight; it returns only once its node-doubling check passes in log_abs
+    and phase.
     """
 
     log_abs: float
@@ -145,20 +145,18 @@ def _clenshaw_cheb(coeffs, x):
     return x * b1 - b2 + coeffs[0]
 
 
-def _panel_jump(sings, p):
-    """e^{i pi jump} is the jump factor on panel p (from t_{p-1} to t_p, with
-    -X and X): each t_j left of it gives e^{-i pi beta_j}, the rest e^{+i pi beta_j}."""
-    return sum(s.beta for s in sings[p:]) - sum(s.beta for s in sings[:p])
-
-
-def _log_abs_weight(ws, x, skip=()):
-    """log |w(x)| without the jump factors, vectorised in float64:
-    -n V(x) + W(x) + sum_j Re(alpha_j) log|x - t_j| over the singularities
-    whose index is not in ``skip``. x must avoid the remaining t_j."""
+def _log_weight(ws, x, own=None, log_s=None):
+    """log w(x) without the jump factors, vectorised in float64:
+    -n V(x) + W(x) + sum_j alpha_j log|x - t_j|, complex where some alpha
+    is. Where own == j, log_s stands for log|x - t_j|; x must avoid the
+    other t_j."""
     e = -ws.n * ws.V(x) + npcheb.chebval(x, ws.W.coeffs)
     for j, s in enumerate(ws.cfg):
-        if j not in skip:
-            e = e + s.alpha.real * np.log(np.abs(x - s.t))
+        if s.alpha != 0:
+            d = np.log(np.abs(x - s.t))
+            if own is not None:
+                d = np.where(own == j, log_s, d)
+            e = e + (s.alpha if s.alpha.imag else s.alpha.real) * d
     return e
 
 
@@ -191,11 +189,12 @@ class _WeightEvaluator:
     def panel_constants(self, panel_index):
         """((left singularity index, right singularity index, log of the jump
         modulus), jump phase) on one panel: its constant jump factor is
-        e^{jump_re + i jump_im} (see _panel_jump)."""
-        m = len(self.sings)
-        left = panel_index - 1 if panel_index >= 1 else None
-        right = panel_index if panel_index < m else None
-        jump = _panel_jump(self.sings, panel_index)
+        e^{jump_re + i jump_im} = e^{i pi jump}, each t_j left of the panel
+        giving e^{-i pi beta_j}, the rest e^{+i pi beta_j}."""
+        m, p = len(self.sings), panel_index
+        left = p - 1 if p >= 1 else None
+        right = p if p < m else None
+        jump = sum(s.beta for s in self.sings[p:]) - sum(s.beta for s in self.sings[:p])
         jump_re = -mp.pi * mp.mpf(jump.imag)
         jump_im = mp.pi * mp.mpf(jump.real)
         return (left, right, jump_re), jump_im
@@ -280,7 +279,7 @@ def _find_cutoff(ws, max_power, precision_bits):
     floor relative to the integrand's peak (float estimate; V dominates)."""
 
     def exponent(x):
-        return _log_abs_weight(ws, x) + max_power * np.log(
+        return _log_weight(ws, x).real + max_power * np.log(
             np.abs(x), out=np.zeros_like(x), where=x != 0.0)
 
     grid = np.linspace(-1.5, 1.5, 201)
@@ -358,9 +357,9 @@ def _estimate_abs_sums(points, n_mom):
     return [float(t) for t in log2_t], float(lm.max())
 
 
-def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, real_alpha):
+def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count):
     """Name the moment whose last change overshot its tolerance the most,
-    the determinant size, and for real alpha the float64 route."""
+    the determinant size, and the float64 route."""
     def overshoot(j):  # log2 of |change| / tolerance
         t = abs_sums[j]
         tol = math.log2(t) + tol_exp if t else -math.inf
@@ -369,13 +368,12 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, real_alpha)
     failed = [j for j, t in enumerate(abs_sums)
               if abs(cur[j] - prev[j]) > mp.mpf((t, tol_exp))]
     j = max(failed, key=overshoot)
-    route = ("; every alpha is real, so op_recurrence_log_det computes this "
-             "determinant in float64") if real_alpha else ""
     return (
         f"moment quadrature stalled at level {_MAX_LEVEL}: moment j = {j} "
         f"last changed by 2^{overshoot(j):.4g} times its tolerance "
         f"(cutoff X = {X:.6g}, {workprec} working bits) for the "
-        f"{count} x {count} determinant{route}"
+        f"{count} x {count} determinant; op_recurrence_log_det computes this "
+        f"determinant in float64"
     )
 
 
@@ -398,7 +396,10 @@ def compute_moments(ws, count, precision_bits):
     Refinement doubles the node density until every moment is stable
     relative to its absolute-value integral (the scale at which the
     determinant feels cancellation); ConvergenceError if the level cap is
-    hit first or the fixed-point sums miss their rounding bound. Each node
+    hit first or the fixed-point sums miss their rounding bound, and before
+    any node where the phase Im(alpha_j) log|x - t_j| would turn by more
+    than pi per node of the finest level at the depth where |x -
+    t_j|^(1 + Re alpha_j) meets 2^-(workprec + 16). Each node
     adds floor(q |w(x)| |x|^j 2^G) (see _fraction_bits) to its panel's
     integer sums for x >= 0 or x < 0, S+_j and S-_j: then sum q |w| x^j =
     S+_j + (-1)^j S-_j and the tolerance scale sum q |w| |x|^j = S+_j + S-_j.
@@ -412,6 +413,15 @@ def compute_moments(ws, count, precision_bits):
     n_mom = 2 * count - 1
     X = _find_cutoff(ws, n_mom - 1, precision_bits)
     workprec = precision_bits + _GUARD_BITS
+    for s in ws.cfg:
+        turn = (abs(s.alpha.imag) * (workprec + 16) * math.log(2)
+                / ((1 + s.alpha.real) * (1 << _MAX_LEVEL)))
+        if turn > math.pi:
+            raise ConvergenceError(
+                f"moment quadrature cannot resolve |x - t|^(i Im alpha) at t = {s.t}, "
+                f"alpha = {s.alpha}: its phase turns by {turn:.3g} rad per node at "
+                f"level {_MAX_LEVEL}; op_recurrence_log_det computes this "
+                f"determinant in float64")
 
     with mp.workprec(workprec):
         evaluator = _WeightEvaluator(ws)
@@ -488,8 +498,7 @@ def compute_moments(ws, count, precision_bits):
                 break
             if level == _MAX_LEVEL:
                 raise ConvergenceError(_stall_message(
-                    cur, prev, abs_sums, tol_exp, X, workprec, count,
-                    not evaluator.complex_alpha))
+                    cur, prev, abs_sums, tol_exp, X, workprec, count))
             prev = cur
 
         log2_t = [math.log2(t) - G if t else -math.inf for t in abs_sums]
@@ -556,125 +565,165 @@ def oracle_log_det(ws, precision_bits=None):
     judged against a reference.
 
     The reference is op_recurrence_log_det(ws), independent of the moment
-    route; there is none for complex alpha (DomainError) or where its
-    certificate fails (ConvergenceError). With no precision_bits given and a
-    reference, the moment route runs at 128, 256, 512, ... bits up to
-    default_precision_bits(n) and stops at the first rung that agrees with
-    the reference; without a reference it runs at that cap only, and its
-    reference is the same moments factorised at half the bits, which checks
-    the factorisation but not the moments. An explicit precision_bits is a
-    single rung. ``converged`` is agreement with the reference to
-    AGREEMENT_TOL in log_abs and phase mod 2 pi (never for a zero
-    determinant); precision_bits is the rung returned. A ConvergenceError of
-    the moment quadrature propagates: more bits only need more quadrature
-    levels.
+    route. With no precision_bits given, the moment route runs at 128, 256,
+    512, ... bits up to default_precision_bits(n) and stops at the first
+    rung that agrees with the reference; where the recurrence raises
+    ConvergenceError there is no reference, the cap runs once and the result
+    is not converged. An explicit precision_bits is a single rung.
+    ``converged`` is agreement with the reference to AGREEMENT_TOL in
+    log_abs and phase mod 2 pi (never for a zero determinant);
+    precision_bits is the rung returned. A ConvergenceError of the moment
+    quadrature propagates: more bits only need more quadrature levels.
     """
     try:
         ref = op_recurrence_log_det(ws)
-    except (DomainError, ConvergenceError):
+    except ConvergenceError:
         ref = None
-    if precision_bits is not None:
-        rungs = (precision_bits,)
-    elif ref is None:
-        rungs = (default_precision_bits(ws.n),)
-    else:
-        rungs = _precision_ladder(default_precision_bits(ws.n))
+    cap = default_precision_bits(ws.n)
+    rungs = ((precision_bits,) if precision_bits is not None
+             else (cap,) if ref is None else _precision_ladder(cap))
     for pb in rungs:
-        moments = compute_moments(ws, ws.n, pb)
-        result = hankel_log_det(moments, ws.n, pb)
-        check = ref if ref is not None else hankel_log_det(moments, ws.n, pb // 2)
-        converged = _agree(result.log_abs, result.phase, check.log_abs, check.phase)
+        result = hankel_log_det(compute_moments(ws, ws.n, pb), ws.n, pb)
+        converged = ref is not None and _agree(result.log_abs, result.phase,
+                                               ref.log_abs, ref.phase)
         if converged:
             break
     return replace(result, converged=converged)
 
 
+_LAYERS, _GRADING = 12, 0.15  # geometric layers towards a singular end, and their ratio
+_END_NODES = 10  # of the product rule below the layers
+_MAX_DOUBLINGS = 3  # of m in the recurrence's certificate
+
+
 @lru_cache(maxsize=64)
-def _gauss_jacobi(N, a, b):
-    """N-point Gauss rule for (1-u)^a (1+u)^b on (-1, 1): read-only nodes, log-weights.
-
-    Jacobi-matrix eigenvalues polished by Newton steps on the orthonormal p_N
-    in long double, and Christoffel weights mu_0 / sum_k p_k^2. The weights
-    near an end with a or b near -1 hinge on the node's distance to it, which
-    float64 resolves to ~1e-16 N^2 (roots_jacobi: 3e-8 in log D_12 at -0.9)."""
-    a, b = np.longdouble(a), np.longdouble(b)
-    k = np.arange(1, N + 1, dtype=np.longdouble)
-    s = 2 * k + a + b
-    diag = np.append((b - a) / (a + b + 2), (b * b - a * a) / (s * (s + 2)))
-    ratio = np.append(1, k[1:] * (k[1:] + a + b) / (s[1:] - 1))
-    off = 2 / s * np.sqrt((k + a) * (k + b) / (s + 1) * ratio)
-    T = np.diag(diag[:N].astype(float))
-    T[range(N - 1), range(1, N)] = off[:-1]
-    u = np.linalg.eigvalsh(T, UPLO="U").astype(np.longdouble)
-    for _ in range(2):  # the weights come from the last pass's nodes x
-        p_prev, p, dp_prev, dp, total = 0, 1, 0, 0, 0
-        for j in range(N):
-            total, c, lag = total + p * p, u - diag[j], off[j - 1] if j else 0
-            dp_prev, dp = dp, (p + c * dp - lag * dp_prev) / off[j]
-            p_prev, p = p, (c * p - lag * p_prev) / off[j]
-        u, x = u - p / dp, u
-    log_mu0 = (a + b + 1) * np.log(2.0) + betaln(float(a) + 1, float(b) + 1)
-    nodes, log_w = x.astype(float), (log_mu0 - np.log(total)).astype(float)
-    nodes.flags.writeable = log_w.flags.writeable = False
-    return nodes, log_w
+def _gauss_legendre(m):
+    """m-point Gauss-Legendre rule on (0, 1): read-only nodes and weights
+    summing to 1, by Newton's method on the three-term recurrence from
+    Tricomi's guesses for the roots of P_m; the last pass takes P_m' at the
+    converged roots."""
+    x = (1 - (m - 1) / (8.0 * m ** 3)) * np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    step = 1.0  # of Newton's method, on all roots at once
+    while True:
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = m * (x * p - p_prev) / (x * x - 1)
+        if np.abs(step).max() < 1e-14:
+            break
+        step = p / dp
+        x = x - step
+    nodes, weights = (1 - x) / 2, 1 / ((1 - x * x) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _recurrence_log_det(ws, X, N):
-    """Complex log D_n of w on one N-point Gauss-Jacobi panel per interval
-    between -X, the t_j and X (the Jacobi weight carries the ends'
-    |x - t|^alpha), by the Stieltjes procedure in sum w p q (np.dot does not
-    conjugate), weights shifted by their largest modulus:
-    log D_n = n log h_0 + sum_k 2(n - k) log b_k."""
-    n, sings = ws.n, list(ws.cfg)
+def _end_weights(alpha):
+    """Gauss-Legendre nodes v_i on (0, 1) and product weights c_i v_i^-alpha:
+    sum c_i f(v_i) = int_0^1 v^alpha f(v) dv for f of degree < _END_NODES,
+    with c_i = lambda_i sum_k (2k + 1) P_k(2 v_i - 1) mu_k and the moments
+    mu_k = int_0^1 v^alpha P_k(2v - 1) dv
+         = prod_{i<k} (alpha - i) / prod_{i=1}^{k+1} (alpha + i).
+    Real for real alpha, and negative at some nodes as alpha nears -1."""
+    v, lam = _gauss_legendre(_END_NODES)
+    u, p_prev, p = 2 * v - 1, 0.0, 1.0
+    mu, total = 1 / (alpha + 1), 0.0
+    for k in range(_END_NODES):
+        total = total + (2 * k + 1) * mu * p
+        mu = mu * (alpha - k) / (alpha + k + 2)
+        p_prev, p = p, ((2 * k + 1) * u * p - k * p_prev) / (k + 1)
+    return v, lam * total * v ** -alpha
+
+
+def _discretise(ws, X, m):
+    """Nodes x of w's float64 discretisation, the logs of their weights
+    (complex unless w is positive) and where they are negative.
+
+    Each panel between -X, the t_j and X is halved. A half of width h that
+    ends at a t_j with alpha_j != 0 has _LAYERS layers s = |x - t_j| in
+    [h sigma^(k+1), h sigma^k], sigma = _GRADING, of m Gauss-Legendre nodes
+    each, and on [0, h sigma^_LAYERS] the product rule of _end_weights;
+    every other half has 4m Gauss-Legendre nodes. Each node carries the
+    whole weight, |x - t_j| at its half's own end taken as its s. A
+    positive w keeps real logarithms, and its negative weights apart.
+    """
+    sings, positive = list(ws.cfg), ws.is_positive
     bounds = [-X] + [s.t for s in sings] + [X]
-    xs, logs = [], []
+    xs, qs, own, log_s = [], [], [], []
     for p in range(len(bounds) - 1):
-        alpha_left = sings[p - 1].alpha.real if p > 0 else 0.0
-        alpha_right = sings[p].alpha.real if p < len(sings) else 0.0
-        u, log_q = _gauss_jacobi(N, alpha_right, alpha_left)
-        jump = _panel_jump(sings, p)
-        half = (bounds[p + 1] - bounds[p]) / 2
-        xs.append(bounds[p] + half * (1 + u))
-        logs.append(
-            _log_abs_weight(ws, xs[-1], skip=(p - 1, p)) + log_q
-            + (1 + alpha_left + alpha_right) * np.log(half)
-            + (-np.pi * jump.imag if ws.is_positive else 1j * np.pi * jump)
-        )
-    x, log_w = np.concatenate(xs), np.concatenate(logs)
-    shift = log_w.real.max()
-    d = np.exp(log_w - shift)
-    log_det = n * (np.log(d.sum()) + shift)
-    q_prev, q, b = 0.0, np.full_like(d, 1 / np.sqrt(d.sum())), 0.0
-    for k in range(1, n):
-        r = (x - np.dot(d * q, x * q)) * q - b * q_prev
-        b = np.sqrt(np.dot(d * r, r))
-        if b == 0 or not np.isfinite(b):
-            raise ConvergenceError(f"squared norm h_{k} zero or not finite")
-        log_det += 2 * (n - k) * np.log(b)
-        q_prev, q = q, r / b
+        h = (bounds[p + 1] - bounds[p]) / 2
+        for j, end, side in ((p - 1, bounds[p], 1.0), (p, bounds[p + 1], -1.0)):
+            alpha = sings[j].alpha if 0 <= j < len(sings) else 0
+            if alpha == 0:
+                v, lam = _gauss_legendre(4 * m)
+                s, q = h * v, h * lam
+            else:
+                v, lam = _gauss_legendre(m)
+                v_end, c = _end_weights(alpha if alpha.imag else alpha.real)
+                top = h * _GRADING ** np.arange(_LAYERS)[:, None]
+                delta = h * _GRADING ** _LAYERS
+                s = np.append(top * (_GRADING + (1 - _GRADING) * v), delta * v_end)
+                q = np.append(top * (1 - _GRADING) * lam, delta * c)
+            xs.append(end + side * s)
+            qs.append(q)
+            own.append(np.full(s.size, j))
+            log_s.append(np.log(s) if alpha else np.zeros(s.size))  # used if alpha
+    x, q = np.concatenate(xs), np.concatenate(qs)
+    log_w = _log_weight(ws, x, np.concatenate(own), np.concatenate(log_s))
+    for sing in sings:  # the jump factor e^{+-i pi beta}, + left of t
+        if sing.beta:
+            log_w = log_w + (1j * np.pi * sing.beta if not positive
+                             else -np.pi * sing.beta.imag) * np.sign(sing.t - x)
+    if not positive:
+        return x, log_w + np.log(q + 0j), False
+    return x, log_w + np.log(np.abs(q)), q < 0
+
+
+def _lanczos_log_det(n, x, log_w, negative):
+    """Complex log D_n of the weights e^log_w, negated where ``negative``, at
+    the nodes x, by Lanczos on diag(x) in the bilinear form sum f g (np.dot
+    does not conjugate) from f = e^{(log_w - shift) / 2}, times i where
+    negative: halving the log before exp keeps the support's edge from
+    underflowing, and the Lanczos vectors stay normalised. A real weight
+    with negative entries runs in complex arithmetic whose imaginary parts
+    stay exactly 0. log D_n = n log h_0 + sum_k 2(n - k) log b_k."""
+    shift, real = log_w.real.max(), not np.iscomplexobj(log_w)
+    r, f, b = np.exp((log_w - shift) / 2), 0.0, 0.0
+    if np.any(negative):
+        r = np.where(negative, 1j * r, r)
+    log_det = n * shift
+    for k in range(n):
+        norm = np.dot(r, r)  # h_0, then b_k^2 = h_k / h_{k-1}
+        if not abs(norm) < math.inf or norm == 0 or (real and norm.real < 0):
+            raise ConvergenceError(f"squared norm h_{k} zero, negative or not finite")
+        log_det += (n - k) * np.log(norm)
+        f_prev, b = f, np.sqrt(norm)
+        f = r / b
+        if k < n - 1:
+            r = (x - np.dot(f, x * f)) * f - b * f_prev
     return complex(log_det)
 
 
 def op_recurrence_log_det(ws):
-    """log D_n of a weight with real alpha by the Stieltjes procedure on a
-    float64 Gauss-Jacobi discretisation, sharing no nodes, cutoff or
-    arithmetic with the moment determinant. The value at N = 8n + 200 nodes
-    per panel is returned once 2N nodes reproduce it to AGREEMENT_TOL in
-    log_abs and in phase mod 2 pi; otherwise ConvergenceError names both.
-    Complex alpha raises DomainError: Gauss-Jacobi resolves
-    |x - t|^{i Im alpha} at a panel end only algebraically, so the N/2N gap
-    would understate the error."""
-    for s in ws.cfg:
-        if s.alpha.imag != 0.0:
-            raise DomainError(f"t = {s.t}: the recurrence needs real alpha, got {s.alpha}")
-    n, N = ws.n, 8 * ws.n + 200
+    """log D_n by Lanczos on a float64 graded Gauss-Legendre discretisation
+    of every admitted weight, sharing no nodes, cutoff or arithmetic with
+    the moment determinant. The value at m = n + 25 is returned once 2m
+    reproduces it to AGREEMENT_TOL in log_abs and phase mod 2 pi, else m
+    doubles, at most _MAX_DOUBLINGS times; then ConvergenceError names m,
+    both values and the gap. A positive weight reports phase 0."""
+    n, m = ws.n, ws.n + 25
     X = _find_cutoff(ws, 2 * n - 2, _FLOAT_BITS)
-    coarse, fine = (_recurrence_log_det(ws, X, m) for m in (N, 2 * N))
-    phase = wrap_phase(coarse.imag)
-    if not _agree(coarse.real, coarse.imag, fine.real, fine.imag):
-        raise ConvergenceError(
-            f"Gauss-Jacobi recurrence unresolved: log D_{n} = {coarse.real!r}, phase "
-            f"{phase!r} at {N} nodes per panel, {fine.real!r}, "
-            f"{wrap_phase(fine.imag)!r} at {2 * N}"
-        )
-    return HankelResult(coarse.real, phase, n, _FLOAT_BITS, OP_RECURRENCE)
+    coarse = _lanczos_log_det(n, *_discretise(ws, X, m))
+    while True:
+        fine = _lanczos_log_det(n, *_discretise(ws, X, 2 * m))
+        if _agree(coarse.real, coarse.imag, fine.real, fine.imag):
+            return HankelResult(coarse.real, wrap_phase(coarse.imag), n,
+                                _FLOAT_BITS, OP_RECURRENCE)
+        if m == (n + 25) << _MAX_DOUBLINGS:
+            raise ConvergenceError(
+                f"graded Gauss-Legendre recurrence unresolved at m = {m}: log D_{n} "
+                f"= {coarse.real!r}, phase {wrap_phase(coarse.imag)!r}; at 2m "
+                f"{fine.real!r}, {wrap_phase(fine.imag)!r}; gaps "
+                f"{abs(fine.real - coarse.real):.3g} in log_abs, "
+                f"{abs(wrap_phase(fine.imag - coarse.imag)):.3g} in phase")
+        m, coarse = 2 * m, fine

@@ -18,7 +18,7 @@ which reduces to the classical single-jump identity when m = 1. All beta~
 are purely imaginary, so the ratio is real and the expansion applies with
 beta_max = 0. Both weights are positive, so the exact finite-n gap
 probability takes both determinants from the float64 recurrence, certified
-N/2N to 1e-10.
+to 1e-10 by doubling its nodes.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def gap_probability_log(V, measure, spec, n) -> GapPrediction:
 
 def gap_probability_log_exact(V, spec, n):
     """Finite-n log gap probability from exact Hankel determinants: both come
-    from the float64 recurrence, certified N/2N to 1e-10."""
+    from the float64 recurrence, certified to 1e-10 by doubling its nodes."""
     tmap, base, thinned = _thinning_configs(spec)
     if not spec.kept:
         return 0.0

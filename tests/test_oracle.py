@@ -1,6 +1,7 @@
 """Extended-precision moments and determinants against closed forms."""
 
 import dataclasses
+import math
 import re
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import hankelfh as hf
 from hankelfh.chebyshev import ChebSeries
 import hankelfh.oracle as oracle_mod
-from hankelfh.errors import ConvergenceError, DomainError, HankelFHError
+from hankelfh.errors import ConvergenceError, DomainError
 from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE, wrap_phase
 
 
@@ -193,30 +194,17 @@ def test_ladder_stops_at_the_first_agreeing_rung(rung_bits):
     assert res.precision_bits == 128 and res.converged
 
 
-def test_ladder_runs_the_cap_once_without_a_reference(rung_bits):
-    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
-    res = hf.oracle_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 6))
+def test_ladder_runs_the_cap_once_without_a_reference(monkeypatch, rung_bits):
+    # where the recurrence raises there is no reference: the cap runs once and
+    # nothing has checked the moments, so the result is not converged
+    def unresolved(ws):
+        raise ConvergenceError("recurrence unresolved")
+
+    monkeypatch.setattr(oracle_mod, "op_recurrence_log_det", unresolved)
+    res = hf.oracle_log_det(gue_weight(6))
     assert rung_bits == [hf.default_precision_bits(6)] == [288]
-    assert res.precision_bits == 288 and res.converged
-
-
-def test_no_reference_check_sees_the_phase(monkeypatch):
-    # complex alpha has no recurrence reference, so the same moments
-    # factorised at half the bits are the reference; a difference in phase
-    # alone, of 1e-6, must refuse the result
-    factor = oracle_mod.hankel_log_det
-
-    def half_off_in_phase(moments, k, precision_bits):
-        res = factor(moments, k, precision_bits)
-        if precision_bits < hf.default_precision_bits(k):
-            res = dataclasses.replace(res, phase=res.phase + 1e-6)
-        return res
-
-    monkeypatch.setattr(oracle_mod, "hankel_log_det", half_off_in_phase)
-    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
-    res = hf.oracle_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 6))
-    assert res.precision_bits == 288
-    assert not res.converged
+    assert res.precision_bits == 288 and not res.converged
+    assert abs(res.log_abs - hf.gue_exact_log(6)) < 1e-12
 
 
 def test_explicit_precision_is_a_single_rung(rung_bits):
@@ -240,32 +228,100 @@ def test_ladder_climbs_to_the_cap_on_disagreement(monkeypatch, rung_bits):
     assert abs(res.log_abs - hf.gue_exact_log(8)) < 1e-12
 
 
-def test_recurrence_takes_complex_beta_and_refuses_complex_alpha():
-    # a real beta makes the jump factor e^{+-i pi beta} complex; the
-    # recurrence runs in the bilinear form and must match the moment route
+def test_recurrence_takes_complex_beta_and_complex_alpha():
+    # a real beta makes the jump factor e^{+-i pi beta} complex, a complex
+    # alpha the factor |x - t|^{i Im alpha}; the recurrence runs in the
+    # bilinear form and must match the moment route
     for sings, n in (
         (((0.0, 0.0, 0.1),), 8),
         (((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j)), 8),  # jump_compare's pair
+        (((0.2, 0.5 + 0.3j, 0.0),), 6),
+        (((-0.3, -0.4 + 0.5j, 0.2 + 0.1j), (0.6, 1.2 - 0.7j, -0.15)), 6),
+        (((0.0, -0.9 + 0.2j, 0.0),), 6),
+        # a rule resolving |x - t|^{i Im alpha} at t only algebraically
+        # missed this one by 1.1e-10 inside its certificate
+        (((0.2, 0.5 + 3.5e-5j, 0.0),), 3),
     ):
         cfg = hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings))
         ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, n)
-        a = hf.oracle_log_det(ws)
+        a = hf.oracle_log_det(ws, 256)
         b = hf.op_recurrence_log_det(ws)
+        assert a.converged, sings
         assert abs(a.log_abs - b.log_abs) < 1e-12, sings
         assert abs(wrap_phase(a.phase - b.phase)) < 1e-12, sings
-    # Gauss-Jacobi resolves |x - t|^{i Im alpha} only algebraically
-    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
-    with pytest.raises(DomainError, match=r"^t = 0\.2: .* real alpha, got \(0\.5\+0\.3j\)$"):
-        hf.op_recurrence_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, 3))
 
 
-def test_gauss_jacobi_rules_are_cached_and_read_only():
-    nodes, log_weights = oracle_mod._gauss_jacobi(40, 0.3, -0.5)
-    again = oracle_mod._gauss_jacobi(40, 0.3, -0.5)
-    assert again[0] is nodes and again[1] is log_weights
-    for arr in (nodes, log_weights):
+def test_gauss_legendre_rules_are_cached_read_only_and_sum_to_one():
+    nodes, weights = oracle_mod._gauss_legendre(41)
+    again = oracle_mod._gauss_legendre(41)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    assert abs(weights.sum() - 1.0) < 1e-14
+    assert 0.0 < nodes.min() and nodes.max() < 1.0
+
+
+@pytest.mark.parametrize("n", [4, 12, 40])
+@pytest.mark.parametrize("alpha", [1.0, -0.5, -0.9, -0.999, -1 + 1e-9])
+def test_recurrence_matches_generalised_hermite_norms(alpha, n):
+    # |x|^alpha e^{-2n x^2} is |y|^alpha e^{-y^2} in y = sqrt(2n) x, whose
+    # monic norms are h_{2j} = j! Gamma(j + alpha/2 + 1/2) and h_{2j+1} =
+    # j! Gamma(j + alpha/2 + 3/2); near alpha = -1 the product rule at t = 0
+    # has negative weights, and a positive weight must still report phase 0
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, alpha, 0.0),))
+    res = hf.op_recurrence_log_det(hf.WeightSpec(hf.Potential.gue(), None, cfg, n))
+    exact = sum(
+        math.lgamma(k // 2 + 1) + math.lgamma(k // 2 + alpha / 2 + (0.5 if k % 2 == 0 else 1.5))
+        for k in range(n)
+    ) - (n * n + n * alpha) / 2 * math.log(2 * n)
+    assert abs(res.log_abs - exact) < 1e-11
+    assert res.phase == 0.0
+
+
+def far_mass_weight():
+    """Quartic c4 = 0.05 with a T_3 field of 0.358 and alpha = 0.5 at 0, n = 1:
+    e^{-V + W} peaks near x = 21, far out on [-X, X]."""
+    V = hf.Potential([0.0, 0.0, 2.0 - 1.5 * 0.05, 0.0, 0.05])
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, 0.5, 0.0),))
+    return hf.WeightSpec(V, ChebSeries([0.0, 0.0, 0.0, 0.358]), cfg, 1)
+
+
+def test_recurrence_certifies_mass_far_outside_the_support(monkeypatch):
+    # m = n + 25 is far from resolving the far peak; the certificate doubles
+    # m until it is
+    ws = far_mass_weight()
+    ms, discretise = [], oracle_mod._discretise
+    monkeypatch.setattr(oracle_mod, "_discretise",
+                        lambda ws, X, m: ms.append(m) or discretise(ws, X, m))
+    rec = hf.op_recurrence_log_det(ws)
+    assert ms[0] == 26 and max(ms) > 2 * 26
+    det = hf.oracle_log_det(ws, 256)
+    assert det.converged
+    assert abs(rec.log_abs - det.log_abs) < 1e-10
+
+
+def test_recurrence_names_m_both_values_and_the_gap_when_unresolved(monkeypatch):
+    # with no doubling allowed, the far-mass weight stays unresolved
+    monkeypatch.setattr(oracle_mod, "_MAX_DOUBLINGS", 0)
+    with pytest.raises(ConvergenceError, match=(
+        r"^graded Gauss-Legendre recurrence unresolved at m = 26: log D_1 = [\d.]+, "
+        r"phase 0\.0; at 2m [\d.]+, 0\.0; gaps [\d.e-]+ in log_abs, 0 in phase$"
+    )):
+        hf.op_recurrence_log_det(far_mass_weight())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recurrence_certifies_a_jump_at_n_400():
+    # where the weight underflows, orthonormal polynomial values grow like
+    # (X + sqrt(X^2 - 1))^k and overflow before n = 400; Lanczos vectors carry
+    # the weight's square root and stay normalised
+    ws = hf.WeightSpec(hf.Potential.gue(), None,
+                       hf.SingularityConfig((hf.Singularity(0.2, 0.0, 0.1j),)), 400)
+    value = hf.op_recurrence_log_det(ws)
+    mirror = hf.op_recurrence_log_det(reflected(ws))
+    assert np.isfinite(value.log_abs) and value.phase == 0.0
+    assert abs(mirror.log_abs - value.log_abs) <= 1e-10
 
 
 @st.composite
@@ -307,11 +363,11 @@ def reflected(ws):
 @settings(max_examples=100, deadline=None)
 @given(weights(max_n=12))
 def test_recurrence_over_the_whole_domain(ws):
-    # a finite, reflection-invariant value or a typed error (complex alpha,
-    # an unresolved discretisation), never anything else
+    # a finite, reflection-invariant value or an unresolved discretisation,
+    # never anything else
     try:
         value = hf.op_recurrence_log_det(ws)
-    except HankelFHError:
+    except ConvergenceError:
         return
     assert np.isfinite(value.log_abs)
     mirror = hf.op_recurrence_log_det(reflected(ws))
@@ -324,9 +380,15 @@ def test_recurrence_over_the_whole_domain(ws):
 def test_recurrence_matches_moment_determinant_over_the_whole_domain(ws):
     try:
         value = hf.op_recurrence_log_det(ws)
-    except HankelFHError:  # a typed refusal, allowed by the test above
+    except ConvergenceError:  # allowed by the test above
         return
-    det = hf.oracle_log_det(ws, 256)
+    try:
+        det = hf.oracle_log_det(ws, 256)
+    except ConvergenceError as err:
+        # as Re alpha nears -1, |x - t|^(i Im alpha) turns too fast for the
+        # moment route near t: a typed refusal up front, never a stall
+        assert "cannot resolve |x - t|^(i Im alpha)" in str(err)
+        return
     assert det.converged
     assert abs(value.log_abs - det.log_abs) <= 1e-10
     assert abs(wrap_phase(value.phase - det.phase)) <= 1e-10
@@ -478,7 +540,7 @@ def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
 def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     # one refinement step cannot converge; the error must say where (moment
     # index, cutoff, working bits, determinant size), by how much (bits over
-    # tolerance) and, for real alpha, that the float64 route exists
+    # tolerance) and that the float64 route exists
     monkeypatch.setattr(oracle_mod, "_MAX_LEVEL", oracle_mod._START_LEVEL + 1)
     with pytest.raises(ConvergenceError) as info:
         hf.compute_moments(gue_weight(6), 6, 256)
@@ -498,21 +560,36 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
     assert message.endswith(
-        "working bits) for the 6 x 6 determinant; every alpha is real, "
-        "so op_recurrence_log_det computes this determinant in float64"
+        "working bits) for the 6 x 6 determinant; op_recurrence_log_det "
+        "computes this determinant in float64"
     )
 
-    # a jump makes the weight complex but keeps alpha real: the float64
-    # route still applies; complex alpha leaves none to point to
-    for alpha, beta, route in ((0.0, 0.1, True), (0.5 + 0.3j, 0.0, False)):
+    # a complex jump and a complex alpha: the float64 route takes both
+    for alpha, beta in ((0.0, 0.1), (0.5 + 0.3j, 0.0)):
         cfg = hf.SingularityConfig((hf.Singularity(0.0, alpha, beta),))
         ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 3)
         with pytest.raises(ConvergenceError) as info:
             hf.compute_moments(ws, 3, 256)
         assert str(info.value).endswith(
-            "computes this determinant in float64" if route
-            else "working bits) for the 3 x 3 determinant"
+            "for the 3 x 3 determinant; op_recurrence_log_det computes this "
+            "determinant in float64"
         )
+
+
+def test_moment_route_refuses_an_oscillation_it_cannot_resolve():
+    # near t the phase Im(alpha) log|x - t| must be followed down to where
+    # |x - t|^(1 + Re alpha) reaches the precision floor; at alpha = -0.99 +
+    # 0.3i that takes it past what level 11 resolves, which the moment route
+    # says before it runs, while the float64 route takes the weight
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, -0.99 + 0.3j, 0.0),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 3)
+    with pytest.raises(ConvergenceError, match=(
+        r"^moment quadrature cannot resolve \|x - t\|\^\(i Im alpha\) at t = 0\.2, "
+        r"alpha = \(-0\.99\+0\.3j\): its phase turns by [\d.]+ rad per node at "
+        r"level 11; op_recurrence_log_det computes this determinant in float64$"
+    )):
+        hf.compute_moments(ws, 3, 256)
+    assert np.isfinite(hf.op_recurrence_log_det(ws).log_abs)
 
 
 def test_cutoff_search_failure_names_the_last_cutoff():
