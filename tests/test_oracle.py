@@ -207,6 +207,26 @@ def test_ladder_runs_the_cap_once_without_a_reference(monkeypatch, rung_bits):
     assert abs(res.log_abs - hf.gue_exact_log(6)) < 1e-12
 
 
+def test_no_reference_check_sees_the_phase(monkeypatch, rung_bits):
+    # complex alpha is checked against the recurrence like any weight; a
+    # difference in phase alone, of 1e-6, must refuse every rung
+    recurrence = oracle_mod.op_recurrence_log_det
+
+    def off_in_phase(ws):
+        ref = recurrence(ws)
+        return dataclasses.replace(ref, phase=ref.phase + 1e-6)
+
+    cfg = hf.SingularityConfig((hf.Singularity(0.2, 0.5 + 0.3j, 0.0),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 6)
+    assert hf.oracle_log_det(ws).converged
+    rung_bits.clear()
+    monkeypatch.setattr(oracle_mod, "op_recurrence_log_det", off_in_phase)
+    res = hf.oracle_log_det(ws)
+    assert rung_bits == [128, 256, 288]
+    assert res.precision_bits == 288
+    assert not res.converged
+
+
 def test_explicit_precision_is_a_single_rung(rung_bits):
     res = hf.oracle_log_det(gue_weight(4), 320)
     assert rung_bits == [320]
