@@ -7,12 +7,16 @@ quadrature, the panels split at every singularity so that the factors
 transform absorbs them for any Re(alpha) > -1. Tails are truncated where the
 integrand falls below the precision floor; at a panel end with
 Re(alpha) < 0 the node enumeration runs correspondingly further
-(_floor_bits). The moment sums are Python integers in fixed point, split by
-panel and by the sign of x, with fractional bits from a written rounding
-bound (_fraction_bits). A pivoted triangular factorisation in mpmath gives
-the determinant. Hankel moment matrices are exponentially ill-conditioned in
-n, hence the working-precision cap of max(256, 48 n) bits; the factor is
-validated by the precision-robustness tests rather than assumed.
+(_floor_bits). The weight is evaluated on raw mpf tuples in libmp
+arithmetic, bit for bit what mpf objects would give. The moment sums are
+Python integers in fixed point, split by panel and by the sign of x, with
+fractional bits G from a written rounding bound (_fraction_bits); once G is
+known, a float64 screen skips the nodes whose q |w(x)| lies below 2^-G by
+a margin, which would add exactly 0 (_can_count). A pivoted triangular
+factorisation in mpmath gives the determinant. Hankel moment matrices are
+exponentially ill-conditioned in n, hence the working-precision cap of
+max(256, 48 n) bits; the factor is validated by the precision-robustness
+tests rather than assumed.
 
 The orthogonal-polynomial recurrence, in float64 for every admitted
 weight: Lanczos in the bilinear form sum w p q on a graded Gauss-Legendre
@@ -21,8 +25,9 @@ ending at a t_j with alpha_j != 0 has geometric layers towards it (Schwab,
 p- and hp-FEM, 3.3) and a product-integration rule below them that carries
 |x - t_j|^alpha_j exactly (Atkinson 1997, 4.2), every other half plain
 Gauss-Legendre nodes. m = n + 25 doubled must reproduce the value to
-AGREEMENT_TOL in log_abs and phase, else m doubles. It shares no nodes,
-cutoff or arithmetic with the moment route: each checks the other.
+AGREEMENT_TOL in log_abs and phase, else m doubles while that shrinks the
+gap between them. It shares no nodes, cutoff or arithmetic with the moment
+route: each checks the other.
 
 oracle_log_det runs the moment route and alone judges it against the
 recurrence's certified value. By default it climbs a ladder of 128, 256,
@@ -36,11 +41,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    from_float, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_mul_int,
+    mpf_sub, round_nearest, to_fixed, to_float,
+)
 from numpy.polynomial import chebyshev as npcheb
 
 from .equilibrium import Potential
@@ -137,12 +145,16 @@ class HankelResult:
     log_abs_hp: object = None
 
 
-def _clenshaw_cheb(coeffs, x):
-    """Chebyshev series evaluation in mpmath arithmetic."""
-    b1 = b2 = mp.mpf(0)
+def _clenshaw_cheb(coeffs, x, prec):
+    """Chebyshev series at x, in raw mpf tuples rounded to nearest at prec."""
+    rnd = round_nearest
+    x2 = mpf_mul_int(x, 2, prec, rnd)
+    b1 = b2 = fzero
     for c in coeffs[:0:-1]:
-        b1, b2 = 2 * x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
+        b1, b2 = mpf_add(mpf_sub(mpf_mul(x2, b1, prec, rnd), b2, prec, rnd), c,
+                         prec, rnd), b1
+    return mpf_add(mpf_sub(mpf_mul(x, b1, prec, rnd), b2, prec, rnd), coeffs[0],
+                   prec, rnd)
 
 
 def _log_weight(ws, x, own=None, log_s=None):
@@ -161,65 +173,79 @@ def _log_weight(ws, x, own=None, log_s=None):
 
 
 class _WeightEvaluator:
-    """Evaluates the weight at mpmath nodes, panel by panel.
+    """Evaluates the weight at nodes given as raw mpf tuples (mpmath's
+    ``_mpf_``), panel by panel, in libmp arithmetic rounded to nearest at
+    the working precision current when it is made: the operations of mpf
+    arithmetic in the same order, without the cost of its objects, so the
+    values are the same bit for bit.
 
     Stable endpoint distances (supplied by the tanh-sinh transform) are used
     for the singular factors anchored at the panel ends, so no precision is
-    lost where |x - t_j| underflows the naive difference.
+    lost where |x - t_j| underflows the naive difference. ``evaluated`` and
+    ``skipped`` count the nodes that _nodes evaluated and screened out.
     """
 
     def __init__(self, ws):
-        self.n = ws.n
-        self.v_coeffs = [mp.mpf(c) for c in ws.V.coeffs]
+        self.ws, self.prec = ws, mp.mp.prec
+        self.v_coeffs = [from_float(c) for c in ws.V.coeffs]
         w = ws.W.coeffs
-        self.w_coeffs = None if np.all(w == 0) else [mp.mpf(c) for c in w]
+        self.w_coeffs = None if np.all(w == 0) else [from_float(c) for c in w]
         self.sings = list(ws.cfg)
-        self.ts = [mp.mpf(s.t) for s in self.sings]
+        self.ts = [from_float(s.t) for s in self.sings]
+        # (j, Re alpha_j, Im alpha_j or None) of every root factor
+        self.factors = [
+            (j, from_float(s.alpha.real),
+             from_float(s.alpha.imag) if s.alpha.imag else None)
+            for j, s in enumerate(self.sings) if s.alpha != 0
+        ]
         self.complex_alpha = any(s.alpha.imag != 0.0 for s in self.sings)
+        self.evaluated = self.skipped = 0
 
     def _exponent_smooth(self, x):
+        prec, rnd = self.prec, round_nearest
         acc = self.v_coeffs[-1]
         for c in self.v_coeffs[-2::-1]:
-            acc = acc * x + c
-        e = -self.n * acc
+            acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
+        e = mpf_mul_int(acc, -self.ws.n, prec, rnd)
         if self.w_coeffs is not None:
-            e += _clenshaw_cheb(self.w_coeffs, x)
+            e = mpf_add(e, _clenshaw_cheb(self.w_coeffs, x, prec), prec, rnd)
         return e
 
     def panel_constants(self, panel_index):
         """((left singularity index, right singularity index, log of the jump
-        modulus), jump phase) on one panel: its constant jump factor is
-        e^{jump_re + i jump_im} = e^{i pi jump}, each t_j left of the panel
-        giving e^{-i pi beta_j}, the rest e^{+i pi beta_j}."""
+        modulus as a raw mpf), jump phase) on one panel: its constant jump
+        factor is e^{jump_re + i jump_im} = e^{i pi jump}, each t_j left of
+        the panel giving e^{-i pi beta_j}, the rest e^{+i pi beta_j}."""
         m, p = len(self.sings), panel_index
         left = p - 1 if p >= 1 else None
         right = p if p < m else None
         jump = sum(s.beta for s in self.sings[p:]) - sum(s.beta for s in self.sings[:p])
         jump_re = -mp.pi * mp.mpf(jump.imag)
         jump_im = mp.pi * mp.mpf(jump.real)
-        return (left, right, jump_re), jump_im
+        return (left, right, jump_re._mpf_), jump_im
 
-    def value(self, x, dist_left, dist_right, consts):
-        """(|w(x)|, theta): the weight is |w(x)| e^{i theta} times the panel's
+    def value(self, x, half, up, um, consts):
+        """(|w(x)|, theta) as raw mpf tuples at x = mid + half u, whose
+        distances to the panel's ends are half up and half um (up = 1 + u,
+        um = 1 - u): the weight is |w(x)| e^{i theta} times the panel's
         constant jump phase, with theta = sum_j Im(alpha_j) log|x - t_j|,
         or None when every alpha is real."""
+        prec, rnd = self.prec, round_nearest
         left, right, jump_re = consts
-        e = self._exponent_smooth(x) + jump_re
-        theta = mp.mpf(0) if self.complex_alpha else None
-        for j, s in enumerate(self.sings):
-            if s.alpha == 0:
-                continue
+        e = mpf_add(self._exponent_smooth(x), jump_re, prec, rnd)
+        theta = fzero if self.complex_alpha else None
+        for j, a_re, a_im in self.factors:
             if j == left:
-                d = dist_left
+                d = mpf_mul(half, up, prec, rnd)
             elif j == right:
-                d = dist_right
+                d = mpf_mul(half, um, prec, rnd)
             else:
-                d = abs(x - self.ts[j])
-            ld = mp.log(d)
-            e += s.alpha.real * ld
-            if s.alpha.imag != 0.0:
-                theta += s.alpha.imag * ld
-        return mp.exp(e), theta
+                d = mpf_abs(mpf_sub(x, self.ts[j], prec, rnd), prec, rnd)
+            ld = mpf_log(d, prec, rnd)
+            e = mpf_add(e, mpf_mul(ld, a_re, prec, rnd), prec, rnd)
+            if a_im is not None:
+                theta = mpf_add(theta, mpf_mul(ld, a_im, prec, rnd), prec, rnd)
+        return mpf_exp(e, prec, rnd), theta
 
 
 def _floor_bits(prec, sing):
@@ -234,11 +260,25 @@ def _floor_bits(prec, sing):
     return math.ceil((prec + 16) / (1.0 + re_alpha))
 
 
+class _NodeTable(NamedTuple):
+    """Tanh-sinh nodes as raw mpf tuples (u, 1-u, 1+u, w'), and float views
+    of them for the zero-contribution screen: u, and log2 of 1-u, 1+u and
+    w' taken from the mpf exponents (w' and 1 -/+ u underflow float64 at
+    high precision)."""
+
+    nodes: tuple
+    u: np.ndarray
+    log2_um: np.ndarray
+    log2_up: np.ndarray
+    log2_w: np.ndarray
+
+
 @lru_cache(maxsize=64)
 def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
-    """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level.
+    """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level, as a
+    _NodeTable.
 
-    Returns tuples (u, 1-u, 1+u, w') where w' excludes the step factor h
+    The nodes are (u, 1-u, 1+u, w') where w' excludes the step factor h
     (the progressive scheme rescales it at every refinement). The endpoint
     gaps 1 -/+ u are computed through 2/(exp(+/-2s)+1), free of
     cancellation. Enumeration towards -1 stops once w' falls below
@@ -250,7 +290,7 @@ def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
         left_floor = mp.mpf(2) ** -left_bits
         right_floor = mp.mpf(2) ** -right_bits
         half_pi = mp.pi / 2
-        nodes = []
+        nodes, views = [], []
         j = 1 if only_odd else 0
         step = 2 if only_odd else 1
         while True:
@@ -266,12 +306,17 @@ def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
             one_minus = 2 / (e2s + 1)
             u = 1 - one_minus
             one_plus = 2 * e2s / (e2s + 1)
+            lm, lp, lw, uf = _log2(one_minus), _log2(one_plus), _log2(w), float(u)
             if keep_right:
-                nodes.append((u, one_minus, one_plus, w))
+                nodes.append((u._mpf_, one_minus._mpf_, one_plus._mpf_, w._mpf_))
+                views.append((uf, lm, lp, lw))
             if keep_left:
-                nodes.append((-u, one_plus, one_minus, w))
+                nodes.append(((-u)._mpf_, one_plus._mpf_, one_minus._mpf_, w._mpf_))
+                views.append((-uf, lp, lm, lw))
             j += step
-    return tuple(nodes)
+    cols = np.array(views).T
+    cols.flags.writeable = False
+    return _NodeTable(tuple(nodes), *cols)
 
 
 def _find_cutoff(ws, max_power, precision_bits):
@@ -357,9 +402,10 @@ def _estimate_abs_sums(points, n_mom):
     return [float(t) for t in log2_t], float(lm.max())
 
 
-def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count):
+def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, evaluator):
     """Name the moment whose last change overshot its tolerance the most,
-    the determinant size, and the float64 route."""
+    the nodes evaluated and screened out, the determinant size, and the
+    float64 route."""
     def overshoot(j):  # log2 of |change| / tolerance
         t = abs_sums[j]
         tol = math.log2(t) + tol_exp if t else -math.inf
@@ -371,21 +417,57 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count):
     return (
         f"moment quadrature stalled at level {_MAX_LEVEL}: moment j = {j} "
         f"last changed by 2^{overshoot(j):.4g} times its tolerance "
-        f"(cutoff X = {X:.6g}, {workprec} working bits) for the "
+        f"(cutoff X = {X:.6g}, {workprec} working bits, {evaluator.evaluated} "
+        f"nodes evaluated, {evaluator.skipped} screened out) for the "
         f"{count} x {count} determinant; op_recurrence_log_det computes this "
         f"determinant in float64"
     )
 
 
-def _nodes(level, only_odd, panels, evaluator, workprec):
+_SCREEN_MARGIN_BITS = 8  # of the zero-contribution screen's float estimate
+
+
+def _can_count(ws, panel, table, G):
+    """Mask of the table's nodes on a panel whose q |w(x)| may reach
+    2^-(G + _SCREEN_MARGIN_BITS): the rest give floor(q |w(x)| 2^G) = 0 and
+    add nothing to any fixed-point sum (see compute_moments). The float64
+    estimate is _log_weight at x = mid + half u, with the node's own end
+    distance half (1 -/+ u) from the table's log2 views, plus the panel's
+    jump modulus and log(half w')."""
+    mid, half, (left, right, jump_re), _ = panel
+    mid, half = to_float(mid), to_float(half)
+    log2_half, ln2 = math.log2(half), math.log(2)
+    towards_right = table.u > 0
+    own = np.where(towards_right, -1 if right is None else right,
+                   -1 if left is None else left)
+    log2_s = log2_half + np.where(towards_right, table.log2_um, table.log2_up)
+    with np.errstate(divide="ignore"):  # x may round onto its own end
+        log_w = _log_weight(ws, mid + half * table.u, own, log2_s * ln2).real
+    log2_q = (log_w + to_float(jump_re)) / ln2 + log2_half + table.log2_w
+    return log2_q >= -(G + _SCREEN_MARGIN_BITS)
+
+
+def _nodes(level, only_odd, panels, evaluator, workprec, G=None):
     """Tanh-sinh nodes of one level on every panel, as (panel index, x,
-    q |w(x)|, theta), with q the node's transform weight times the panel's
-    half-width (the step h = 2^-level is applied to the sums)."""
-    for p, (mid, half, consts, ends) in enumerate(panels):
-        for u, um, up, w in _tanh_sinh_nodes(level, only_odd, workprec, *ends):
-            x = mid + half * u
-            mod, theta = evaluator.value(x, half * up, half * um, consts)
-            yield p, x, half * w * mod, theta
+    q |w(x)|, theta) mpf values, with q the node's transform weight times
+    the panel's half-width (the step h = 2^-level is applied to the sums).
+    Given the sums' fractional bits G, nodes that _can_count rules out are
+    skipped, unevaluated."""
+    prec, rnd, make = workprec, round_nearest, mp.make_mpf
+    for p, panel in enumerate(panels):
+        mid, half, consts, ends = panel
+        table = _tanh_sinh_nodes(level, only_odd, workprec, *ends)
+        nodes = table.nodes
+        if G is not None:
+            keep = np.flatnonzero(_can_count(evaluator.ws, panel, table, G))
+            evaluator.skipped += len(nodes) - keep.size
+            nodes = [nodes[i] for i in keep]
+        evaluator.evaluated += len(nodes)
+        for u, um, up, w in nodes:
+            x = mpf_add(mid, mpf_mul(half, u, prec, rnd), prec, rnd)
+            mod, theta = evaluator.value(x, half, up, um, consts)
+            m = mpf_mul(mpf_mul(half, w, prec, rnd), mod, prec, rnd)
+            yield p, make(x), make(m), None if theta is None else make(theta)
 
 
 def compute_moments(ws, count, precision_bits):
@@ -405,6 +487,19 @@ def compute_moments(ws, count, precision_bits):
     S+_j + (-1)^j S-_j and the tolerance scale sum q |w| |x|^j = S+_j + S-_j.
     A panel's constant jump phase multiplies its sums once per level; only
     complex alpha adds per-node sums of q |w| cos(theta), q |w| sin(theta).
+
+    The weight is evaluated in libmp arithmetic on raw mpf tuples
+    (_WeightEvaluator), the same operations in the same order as mpf
+    objects. From level _START_LEVEL + 1 on, where G is known, _can_count
+    skips every node whose float64 estimate of log2(q |w(x)|) lies below
+    -G - _SCREEN_MARGIN_BITS: such a node adds floor(q |w| 2^G) = 0 to every
+    sum and leaves max q |w| alone, so the sums, the level of convergence,
+    the rounding-bound check and the moments are those of the unscreened
+    nodes, bit for bit, for every weight with real alpha. With complex
+    alpha a skipped node's negative q |w| cos(theta) or q |w| sin(theta)
+    would have added floor(...) = -1 and its integer powers, at most
+    (j + 1) X'^j units of 2^-G at moment j: inside the per-node truncation
+    budget of _fraction_bits.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
@@ -433,7 +528,7 @@ def compute_moments(ws, count, precision_bits):
             consts, jump_im = evaluator.panel_constants(p)
             ends = tuple(_floor_bits(workprec, None if i is None else sings[i])
                          for i in consts[:2])
-            panels.append(((a + b) / 2, (b - a) / 2, consts, ends))
+            panels.append((((a + b) / 2)._mpf_, ((b - a) / 2)._mpf_, consts, ends))
             units.append(mp.expj(jump_im))
         n_parts = 3 if evaluator.complex_alpha else 1
         # acc[panel][x < 0][part][j]; parts: q|w|, q|w| cos(theta), q|w| sin(theta)
@@ -489,7 +584,7 @@ def compute_moments(ws, count, precision_bits):
         level = _START_LEVEL
         while True:
             level += 1
-            accumulate(_nodes(level, True, panels, evaluator, workprec), G)
+            accumulate(_nodes(level, True, panels, evaluator, workprec, G), G)
             cur, abs_sums = level_sums(level, G)
             # |change| <= 2^-(precision_bits + 16) times the h-scaled abs sum
             tol_exp = -(G + level + precision_bits + 16)
@@ -498,7 +593,7 @@ def compute_moments(ws, count, precision_bits):
                 break
             if level == _MAX_LEVEL:
                 raise ConvergenceError(_stall_message(
-                    cur, prev, abs_sums, tol_exp, X, workprec, count))
+                    cur, prev, abs_sums, tol_exp, X, workprec, count, evaluator))
             prev = cur
 
         log2_t = [math.log2(t) - G if t else -math.inf for t in abs_sums]
@@ -710,15 +805,28 @@ def op_recurrence_log_det(ws):
     the moment determinant. The value at m = n + 25 is returned once 2m
     reproduces it to AGREEMENT_TOL in log_abs and phase mod 2 pi, else m
     doubles, at most _MAX_DOUBLINGS times; then ConvergenceError names m,
-    both values and the gap. A positive weight reports phase 0."""
+    both values and the gap. Each doubling must shrink the gap (the larger
+    of the log_abs and phase gaps): past the reach of float64 the gap is
+    rounding, about eps |log D_n|, which more nodes cannot shrink, and
+    ConvergenceError names m, the last two gaps and that scale at once. A
+    positive weight reports phase 0."""
     n, m = ws.n, ws.n + 25
     X = _find_cutoff(ws, 2 * n - 2, _FLOAT_BITS)
     coarse = _lanczos_log_det(n, *_discretise(ws, X, m))
+    gap = math.inf
     while True:
         fine = _lanczos_log_det(n, *_discretise(ws, X, 2 * m))
         if _agree(coarse.real, coarse.imag, fine.real, fine.imag):
             return HankelResult(coarse.real, wrap_phase(coarse.imag), n,
                                 _FLOAT_BITS, OP_RECURRENCE)
+        last, gap = gap, max(abs(fine.real - coarse.real),
+                             abs(wrap_phase(fine.imag - coarse.imag)))
+        if gap >= last:
+            raise ConvergenceError(
+                f"graded Gauss-Legendre recurrence stopped converging at m = {m}: "
+                f"doubling m moved log D_{n} by {gap:.3g} after {last:.3g}, against "
+                f"a float64 rounding scale eps |log D_{n}| = "
+                f"{np.finfo(float).eps * abs(fine.real):.3g}")
         if m == (n + 25) << _MAX_DOUBLINGS:
             raise ConvergenceError(
                 f"graded Gauss-Legendre recurrence unresolved at m = {m}: log D_{n} "

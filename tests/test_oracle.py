@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -307,13 +308,19 @@ def far_mass_weight():
     return hf.WeightSpec(V, ChebSeries([0.0, 0.0, 0.0, 0.358]), cfg, 1)
 
 
+def discretised_m(monkeypatch):
+    """The m of every discretisation the recurrence builds, in order."""
+    ms, discretise = [], oracle_mod._discretise
+    monkeypatch.setattr(oracle_mod, "_discretise",
+                        lambda ws, X, m: ms.append(m) or discretise(ws, X, m))
+    return ms
+
+
 def test_recurrence_certifies_mass_far_outside_the_support(monkeypatch):
     # m = n + 25 is far from resolving the far peak; the certificate doubles
     # m until it is
     ws = far_mass_weight()
-    ms, discretise = [], oracle_mod._discretise
-    monkeypatch.setattr(oracle_mod, "_discretise",
-                        lambda ws, X, m: ms.append(m) or discretise(ws, X, m))
+    ms = discretised_m(monkeypatch)
     rec = hf.op_recurrence_log_det(ws)
     assert ms[0] == 26 and max(ms) > 2 * 26
     det = hf.oracle_log_det(ws, 256)
@@ -342,6 +349,25 @@ def test_recurrence_certifies_a_jump_at_n_400():
     mirror = hf.op_recurrence_log_det(reflected(ws))
     assert np.isfinite(value.log_abs) and value.phase == 0.0
     assert abs(mirror.log_abs - value.log_abs) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recurrence_refuses_a_jump_past_its_reach(monkeypatch):
+    # at n = 700 the m/2m gap is float64 rounding: doubling m from 1450 moves
+    # log D_n more than doubling from 725 did, so the certificate refuses
+    # then, instead of doubling m to the cap and passing by chance
+    ws = hf.WeightSpec(hf.Potential.gue(), None,
+                       hf.SingularityConfig((hf.Singularity(0.2, 0.0, 0.1j),)), 700)
+    ms = discretised_m(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=(
+        r"^graded Gauss-Legendre recurrence stopped converging at m = 1450: doubling "
+        r"m moved log D_700 by [\d.e-]+ after [\d.e-]+, against a float64 rounding "
+        r"scale eps \|log D_700\| = [\d.e-]+$"
+    )):
+        hf.op_recurrence_log_det(ws)
+    assert time.perf_counter() - start < 3.0
+    assert ms == [725, 1450, 2900]
 
 
 @st.composite
@@ -548,6 +574,59 @@ def test_integer_moments_match_mpf_sums(monkeypatch, sings, n, precision_bits):
         assert abs(m - s) <= rel_tol * a
 
 
+def raw(value):
+    return getattr(value, "_mpf_", None) or value._mpc_
+
+
+@pytest.mark.parametrize(
+    "V, W, sings, n, precision_bits",
+    [
+        (hf.Potential.gue(), None, ((0.2, 0.0, 0.1j),), 8, 128),
+        (hf.Potential.gue(), None, ((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j)),
+         12, 256),
+        (hf.Potential([0.0, 0.0, 2.0 - 1.5 * 0.4, 0.0, 0.4]),
+         ChebSeries([0.0, 0.5, 0.25]), ((0.0, 0.8),), 8, 256),
+        # w' and 1 -/+ u underflow float64 here (w' near 2^-3100): the
+        # screen's float views must come from the mpf exponents
+        pytest.param(hf.Potential.gue(), None, ((0.0, -0.5),), 4, 1536,
+                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        (hf.Potential.gue(), None, ((0.2, 0.5 + 0.3j, 0.0),), 3, 256),
+    ],
+    ids=["jump", "complex-beta-pair", "quartic-field", "alpha-neg-half-1536",
+         "complex-alpha"],
+)
+def test_screen_skips_only_nodes_that_add_nothing(monkeypatch, V, W, sings, n,
+                                                  precision_bits):
+    # with every node kept the moments are the same bit for bit; complex
+    # alpha may move its cos/sin sums by the per-node truncation budget of
+    # _fraction_bits for each skipped node, a floor(negative) = -1
+    ws = hf.WeightSpec(V, W, hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings)), n)
+    screen, skipped, bits = oracle_mod._can_count, [], set()
+
+    def counting(ws, panel, table, G):
+        keep = screen(ws, panel, table, G)
+        skipped.append(int(keep.size - keep.sum()))
+        bits.add(G)
+        return keep
+
+    monkeypatch.setattr(oracle_mod, "_can_count", counting)
+    screened = hf.compute_moments(ws, n, precision_bits)
+    monkeypatch.setattr(oracle_mod, "_can_count",
+                        lambda ws, panel, table, G: np.ones(table.u.size, bool))
+    full = hf.compute_moments(ws, n, precision_bits)
+    assert sum(skipped) > 0
+    if ws.cfg.singularities[0].alpha.imag == 0:
+        assert [raw(m) for m in screened] == [raw(m) for m in full]
+        return
+    (G,) = bits
+    x_max = max(1.0, oracle_mod._find_cutoff(ws, 2 * n - 2, precision_bits))
+    with mp.workprec(precision_bits + oracle_mod._GUARD_BITS):
+        for j, (a, b) in enumerate(zip(screened, full)):
+            # re and im parts, h = 2^-level at level > _START_LEVEL
+            budget = 2 * sum(skipped) * (j + 1) * mp.mpf(x_max) ** j
+            assert abs(a - b) <= budget * mp.mpf(2) ** -(G + oracle_mod._START_LEVEL + 1)
+
+
 def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
     # G is set from the start level's own sums, which the final sums only
     # exceed, so the post-convergence check needs a scale cut below the
@@ -560,7 +639,8 @@ def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
 def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     # one refinement step cannot converge; the error must say where (moment
     # index, cutoff, working bits, determinant size), by how much (bits over
-    # tolerance) and that the float64 route exists
+    # tolerance), how many nodes it evaluated and screened out, and that the
+    # float64 route exists
     monkeypatch.setattr(oracle_mod, "_MAX_LEVEL", oracle_mod._START_LEVEL + 1)
     with pytest.raises(ConvergenceError) as info:
         hf.compute_moments(gue_weight(6), 6, 256)
@@ -570,17 +650,26 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     )
     match = re.search(
         r"moment j = (\d+) last changed by 2\^([\d.e+]+) times its tolerance "
-        r"\(cutoff X = ([\d.e+]+), (\d+) working bits\)",
+        r"\(cutoff X = ([\d.e+]+), (\d+) working bits, (\d+) nodes evaluated, "
+        r"(\d+) screened out\)",
         message,
     )
     assert match, message
-    j, bits, X, workprec = match.groups()
+    j, bits, X, workprec, evaluated, skipped = match.groups()
     assert 0 <= int(j) <= 10
     assert float(bits) > 0
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
+    # one panel: every node of both levels, evaluated or screened out
+    prec = int(workprec)
+    ends = (oracle_mod._floor_bits(prec, None),) * 2
+    nodes = sum(len(oracle_mod._tanh_sinh_nodes(level, level > oracle_mod._START_LEVEL,
+                                                prec, *ends).nodes)
+                for level in (oracle_mod._START_LEVEL, oracle_mod._START_LEVEL + 1))
+    assert int(evaluated) + int(skipped) == nodes
+    assert int(skipped) > 0
     assert message.endswith(
-        "working bits) for the 6 x 6 determinant; op_recurrence_log_det "
+        "screened out) for the 6 x 6 determinant; op_recurrence_log_det "
         "computes this determinant in float64"
     )
 
