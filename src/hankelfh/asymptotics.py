@@ -54,6 +54,19 @@ class ExpansionCoefficients:
     def as_tuple(self):
         return (self.C1, self.C2, self.C3, self.C4)
 
+    def predict(self, n):
+        """The expansion at matrix size n, with the magnitude of the
+        neglected error term, log n / n^{1 - 4 beta_max} (reported, never
+        added)."""
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        logn = np.log(float(n))
+        value = self.C1 * n * n + self.C2 * n + self.C3 * logn + self.C4
+        error_scale = logn / float(n) ** (1.0 - 4.0 * self.beta_max)
+        return PredictionResult(
+            value=complex(value), error_scale=float(error_scale), coefficients=self
+        )
+
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -234,20 +247,9 @@ def expansion_coefficients(V, measure, W, cfg):
 
 
 def predict_log_hankel(V, measure, W, cfg, n):
-    """Evaluate the expansion at a given matrix size n.
-
-    Returns the predicted log-determinant together with the magnitude of the
-    neglected error term, log n / n^{1 - 4 beta_max} (reported, never added).
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    coeffs = expansion_coefficients(V, measure, W, cfg)
-    logn = np.log(float(n))
-    value = coeffs.C1 * n * n + coeffs.C2 * n + coeffs.C3 * logn + coeffs.C4
-    error_scale = logn / float(n) ** (1.0 - 4.0 * coeffs.beta_max)
-    return PredictionResult(
-        value=complex(value), error_scale=float(error_scale), coefficients=coeffs
-    )
+    """Evaluate the expansion at a given matrix size n (see
+    ExpansionCoefficients.predict)."""
+    return expansion_coefficients(V, measure, W, cfg).predict(n)
 
 
 def gue_exact_log(n):

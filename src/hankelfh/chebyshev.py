@@ -11,16 +11,77 @@ weighted integrals and finite Hilbert transforms have closed forms:
 
 These identities make every integral appearing in the expansion coefficients
 exact for polynomial data.
+
+Series arithmetic is plain numpy on the coefficient arrays: sums pad the
+shorter series, products use T_i T_j = (T_{i+j} + T_{|i-j|})/2 through one
+convolution, and monomials convert through a cached exact basis matrix.
+Results drop trailing exact zeros, so lengths and values match
+numpy.polynomial.chebyshev's chebadd, chebsub, chebmul and poly2cheb.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DomainError
+
+
+def _trim(c):
+    """c without its trailing exact zeros, keeping at least one entry."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _padded_sum(a, b, sign):
+    """Coefficients of a + sign * b, the shorter series padded with zeros."""
+    out = np.zeros(max(len(a), len(b)), dtype=np.result_type(a, b, 1.0))
+    out[:len(a)] = a
+    if sign > 0:
+        out[:len(b)] += b
+    else:
+        out[:len(b)] -= b
+    return _trim(out)
+
+
+def _symmetric(c):
+    """(c_n/2, .., c_1/2, c_0, c_1/2, .., c_n/2): the series as a Laurent
+    polynomial in w, x = (w + 1/w)/2 and T_k = (w^k + w^-k)/2."""
+    half = 0.5 * c
+    half[0] = c[0]
+    return np.concatenate((half[:0:-1], half))
+
+
+def _product(a, b):
+    """Coefficients of the product of two T-series: the Laurent polynomials
+    multiply by convolution, and T_i T_j = (T_{i+j} + T_{|i-j|})/2 folds
+    the result back."""
+    a, b = _trim(a), _trim(b)  # as numpy does: padding reorders the sums
+    full = np.convolve(_symmetric(a), _symmetric(b))
+    c = full[len(a) + len(b) - 2:]
+    c[1:] *= 2.0
+    return _trim(c)
+
+
+@lru_cache(maxsize=32)
+def _monomial_to_cheb(length):
+    """M with x^k = sum_j M[j, k] T_j(x) for k < length: M[j, k] =
+    2^(1-k) C(k, (k-j)/2) for j = k, k-2, .. >= 1, and half that at j = 0.
+    Every entry is a dyadic rational, exact in float64."""
+    m = np.zeros((length, length))
+    for k in range(length):
+        for j in range(k % 2, k + 1, 2):
+            m[j, k] = math.comb(k, (k - j) // 2) * 2.0 ** (1 - k)
+        if k % 2 == 0:
+            m[0, k] *= 0.5
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -34,14 +95,14 @@ class ChebSeries:
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs))
+        c = np.asarray(self.coeffs)
+        if c.ndim == 0:
+            c = c.reshape(1)
         if c.ndim != 1 or c.size == 0:
             raise DomainError("ChebSeries needs a non-empty 1-D coefficient array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("ChebSeries coefficients must be finite")
-        if not np.iscomplexobj(c):
-            c = c.astype(float)
-        c = c.copy()
+        c = c.astype(c.dtype if c.dtype.kind == "c" else float)  # a copy
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -54,20 +115,16 @@ class ChebSeries:
 
     def __mul__(self, other):
         if isinstance(other, ChebSeries):
-            return ChebSeries(npcheb.chebmul(self.coeffs, other.coeffs))
+            return ChebSeries(_product(self.coeffs, other.coeffs))
         return ChebSeries(self.coeffs * other)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, ChebSeries):
-            return ChebSeries(npcheb.chebadd(self.coeffs, other.coeffs))
-        return ChebSeries(npcheb.chebadd(self.coeffs, [other]))
+        return ChebSeries(_padded_sum(self.coeffs, _as_coeffs(other), 1))
 
     def __sub__(self, other):
-        if isinstance(other, ChebSeries):
-            return ChebSeries(npcheb.chebsub(self.coeffs, other.coeffs))
-        return ChebSeries(npcheb.chebsub(self.coeffs, [other]))
+        return ChebSeries(_padded_sum(self.coeffs, _as_coeffs(other), -1))
 
     def coeff(self, k):
         """c_k, with zeros past the stored length."""
@@ -79,8 +136,17 @@ class ChebSeries:
 
     @staticmethod
     def from_monomials(poly_coeffs):
-        """Exact conversion from ascending monomial coefficients."""
-        return ChebSeries(npcheb.poly2cheb(np.atleast_1d(poly_coeffs)))
+        """Conversion from ascending monomial coefficients (exact basis
+        matrix; the products and sums round)."""
+        p = _trim(np.atleast_1d(np.asarray(poly_coeffs)))
+        return ChebSeries(_monomial_to_cheb(len(p)) @ p)
+
+
+def _as_coeffs(other):
+    """The coefficients of a series, or a scalar as the constant series."""
+    if isinstance(other, ChebSeries):
+        return other.coeffs
+    return np.atleast_1d(np.asarray(other))
 
 
 def cheb_weighted_integrals(f):

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .asymptotics import predict_log_hankel
+from .asymptotics import expansion_coefficients
 from .chebyshev import ChebSeries
 from .equilibrium import Potential, RescaledProblem, equilibrium_measure, rescale
 from .errors import ConvergenceError, HankelFHError, RegularityError
@@ -265,11 +265,14 @@ def cmd_eqmeasure(cfg: ExperimentConfig):
 
 
 def _predict_rows(cfg: ExperimentConfig, prob: _Problem):
+    """One row per n of cfg.n_list, from one evaluation of the constants."""
     rows = []
+    if not cfg.n_list:
+        return rows
+    coeffs = expansion_coefficients(prob.V, prob.measure, prob.W, prob.cfg)
     for n in cfg.n_list:
-        pred = predict_log_hankel(prob.V, prob.measure, prob.W, prob.cfg, n)
+        pred = coeffs.predict(n)
         value = pred.value + prob.correction(n)
-        coeffs = pred.coefficients
         rows.append(
             {
                 "n": n,

@@ -127,6 +127,11 @@ def density_transform(V):
     compute_density is this plus the unit-mass contract.
     """
     d = ChebSeries.from_monomials(V.derivative_coeffs()).coeffs
+    return _density_from_derivative(d)
+
+
+def _density_from_derivative(d):
+    """density_transform given the T-coefficients d of V'."""
     if len(d) < 2:
         raise SupportError("constant V' cannot produce a unit measure on [-1,1]")
     g = d[1:] / (2.0 * np.pi)  # U-basis coefficients of psi
@@ -150,7 +155,7 @@ def compute_density(V):
             f"(value {np.pi * d[0]:.6g}); the equilibrium support of V is "
             "not centred on [-1, 1] (rescale the problem first)"
         )
-    psi = density_transform(V)
+    psi = _density_from_derivative(d)
     _, mass = cheb_weighted_integrals(psi)
     if abs(mass - 1.0) > NORMALIZATION_TOL:
         raise SupportError(

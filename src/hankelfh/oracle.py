@@ -47,7 +47,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     from_float, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_mul_int,
-    mpf_sub, round_nearest, to_fixed, to_float,
+    mpf_neg, mpf_sub, round_nearest, to_fixed, to_float,
 )
 from numpy.polynomial import chebyshev as npcheb
 
@@ -274,23 +274,22 @@ class _NodeTable(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
-    """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level, as a
-    _NodeTable.
+def _tanh_sinh_run(level, only_odd, prec, floor_bits):
+    """Tanh-sinh nodes of (0, 1) with step h = 2^-level, in order of j, for
+    every j whose transform weight w' is at least 2^-floor_bits (always
+    j = 0): tuples (j, need, (u, 1-u, 1+u, w'), float views), where need is
+    the least b with w' >= 2^-b.
 
-    The nodes are (u, 1-u, 1+u, w') where w' excludes the step factor h
-    (the progressive scheme rescales it at every refinement). The endpoint
-    gaps 1 -/+ u are computed through 2/(exp(+/-2s)+1), free of
-    cancellation. Enumeration towards -1 stops once w' falls below
-    2^-left_bits, towards +1 below 2^-right_bits (see _floor_bits).
-    ``only_odd`` yields just the nodes new to this level.
+    The mpf values are raw tuples and w' excludes the step factor h (the
+    progressive scheme rescales it at every refinement). The endpoint gaps
+    1 -/+ u are computed through 2/(exp(+/-2s)+1), free of cancellation.
+    ``only_odd`` yields just the j new to this level. The node -u of each j
+    mirrors u, so one run serves both ends of every panel.
     """
     with mp.workprec(prec):
         h = mp.mpf(1) / (1 << level)
-        left_floor = mp.mpf(2) ** -left_bits
-        right_floor = mp.mpf(2) ** -right_bits
         half_pi = mp.pi / 2
-        nodes, views = [], []
+        run = []
         j = 1 if only_odd else 0
         step = 2 if only_odd else 1
         while True:
@@ -299,21 +298,38 @@ def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
             e2s = mp.exp(2 * s)
             # cosh(t) / cosh(s)^2 with cosh(s)^2 = (e2s + 1)^2 / (4 e2s)
             w = 2 * mp.pi * mp.sqrt(1 + sinh_t * sinh_t) * e2s / (e2s + 1) ** 2
-            keep_right = w >= right_floor or j == 0
-            keep_left = w >= left_floor and j > 0
-            if not (keep_right or keep_left):
+            _, man, exp, bc = w._mpf_
+            need = 1 - exp - bc  # 2^(exp + bc - 1) <= w' < 2^(exp + bc)
+            if need > floor_bits and j > 0:
                 break
             one_minus = 2 / (e2s + 1)
             u = 1 - one_minus
             one_plus = 2 * e2s / (e2s + 1)
-            lm, lp, lw, uf = _log2(one_minus), _log2(one_plus), _log2(w), float(u)
-            if keep_right:
-                nodes.append((u._mpf_, one_minus._mpf_, one_plus._mpf_, w._mpf_))
-                views.append((uf, lm, lp, lw))
-            if keep_left:
-                nodes.append(((-u)._mpf_, one_plus._mpf_, one_minus._mpf_, w._mpf_))
-                views.append((-uf, lp, lm, lw))
+            run.append((j, need,
+                        (u._mpf_, one_minus._mpf_, one_plus._mpf_, w._mpf_),
+                        (float(u), _log2(one_minus), _log2(one_plus), _log2(w))))
             j += step
+    return tuple(run)
+
+
+@lru_cache(maxsize=64)
+def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
+    """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level, as a
+    _NodeTable of (u, 1-u, 1+u, w') (see _tanh_sinh_run).
+
+    Enumeration towards -1 stops once w' falls below 2^-left_bits, towards
+    +1 below 2^-right_bits (see _floor_bits); each j gives its node u, then
+    its mirror -u. Both orientations of a pair of floors come from one run.
+    """
+    nodes, views = [], []
+    for j, need, (u, um, up, w), (uf, lm, lp, lw) in _tanh_sinh_run(
+            level, only_odd, prec, max(left_bits, right_bits)):
+        if need <= right_bits or j == 0:
+            nodes.append((u, um, up, w))
+            views.append((uf, lm, lp, lw))
+        if need <= left_bits and j > 0:
+            nodes.append((mpf_neg(u), up, um, w))
+            views.append((-uf, lp, lm, lw))
     cols = np.array(views).T
     cols.flags.writeable = False
     return _NodeTable(tuple(nodes), *cols)
@@ -433,7 +449,10 @@ def _can_count(ws, panel, table, G):
     add nothing to any fixed-point sum (see compute_moments). The float64
     estimate is _log_weight at x = mid + half u, with the node's own end
     distance half (1 -/+ u) from the table's log2 views, plus the panel's
-    jump modulus and log(half w')."""
+    jump modulus and log(half w'). Its float64 rounding grows with the
+    size of the logs it adds (log2 |x - t| reaches -(prec + 16)/(1 + Re
+    alpha), near 1e18 for Re alpha = -1 + 2^-53), so the threshold is
+    lowered by 2^-48 times their total, above the bound of its roundings."""
     mid, half, (left, right, jump_re), _ = panel
     mid, half = to_float(mid), to_float(half)
     log2_half, ln2 = math.log2(half), math.log(2)
@@ -444,7 +463,10 @@ def _can_count(ws, panel, table, G):
     with np.errstate(divide="ignore"):  # x may round onto its own end
         log_w = _log_weight(ws, mid + half * table.u, own, log2_s * ln2).real
     log2_q = (log_w + to_float(jump_re)) / ln2 + log2_half + table.log2_w
-    return log2_q >= -(G + _SCREEN_MARGIN_BITS)
+    alpha_sum = sum(abs(s.alpha) for s in ws.cfg)
+    rounding = 2.0 ** -48 * (np.abs(log2_s) * (1.0 + alpha_sum)
+                             + np.abs(table.log2_w) + np.abs(log2_q))
+    return log2_q >= -(G + _SCREEN_MARGIN_BITS) - rounding
 
 
 def _nodes(level, only_odd, panels, evaluator, workprec, G=None):

@@ -1,60 +1,99 @@
 """Log Barnes-G and the zeta derivative constant.
 
-log Barnes-G has no scipy counterpart and is built from
+log Barnes-G has no scipy counterpart and is evaluated in scalar complex
+arithmetic by two series:
 
-    int_0^z log Gamma(1+x) dx
-        = z/2 log(2 pi) - z(z+1)/2 + z log Gamma(z+1) - log G(z+1),
+* within _TAYLOR_RADIUS of z = 1, the Taylor series of log G(1+u)
+  (DLMF 5.17.3) with its leading singularity log(1+u) = log z split off, so
+  the remaining coefficients (-1)^k (zeta(k) - 1)/(k+1) shrink like 2^-k;
+  it is exactly 0 at z = 1. The disks of the same radius around 2 .. 5
+  reach it by steps of the recurrence G(z+1) = Gamma(z) G(z) downwards;
+* elsewhere, the recurrence upwards shifts the argument to
+  Re z >= _ASYMPTOTIC_RE, where the asymptotic series of log G(v+1)
+  (DLMF 5.17) converges to rounding.
 
-combined with the recurrence G(z+1) = Gamma(z) G(z) to shift the argument
-into the half-plane where the straight integration path stays clear of the
-log-Gamma branch cut; log Gamma is scipy's principal branch.
+Every path adds principal-branch scipy log Gamma values of arguments that
+the recurrence links to z, so the branch is the one the recurrence carries
+from the positive real axis. All coefficients are literals, so nothing is
+computed at import.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import cmath
+import math
 
-import mpmath as mp
-import numpy as np
-import scipy.special as sp
+from scipy.special import loggamma
 
 from .errors import PoleError
 
-_LOG_2PI = np.log(2.0 * np.pi)
-#: Gauss-Legendre points for the log-Gamma integral on [0, 1]
-_GL_POINTS = 120
+_LOG_2PI = math.log(2.0 * math.pi)
+#: zeta'(-1) = 1/12 - log A (A the Glaisher-Kinkelin constant)
+_ZETA_PRIME_M1 = -0.16542114370045094
+
+#: Taylor disk |z - 1| <= _TAYLOR_RADIUS; the disks around 2 .. _MAX_DOWN + 1
+#: reach it by recurrence steps down (more accurate near the real axis than
+#: the steps up to the asymptotic series, whose sums reach log G(8) ~ 17)
+_TAYLOR_RADIUS = 0.75
+_MAX_DOWN = 4
+#: log G(1+u) = _T1 u + _T2 u^2 + log(1+u) + sum_k _TAYLOR[k-2] u^(k+1), with
+#: _T1 = (log 2 pi - 1)/2 - 1, _T2 = 1/2 - (1 + gamma)/2 and
+#: _TAYLOR[k-2] = (-1)^k (zeta(k) - 1)/(k+1) for k = 2..36 (truncation
+#: below 1e-17 on the disk)
+_T1 = -0.5810614667953272
+_T2 = -0.28860783245076643
+_TAYLOR = (
+    0.21497802228274215, -0.05051422578989857, 0.01646464674222764,
+    -0.006154625857228321, 0.002477580283492734, -0.0010436596727403534,
+    0.00045303957754937104, -0.00020083928260822143, 9.041592071073504e-05,
+    -4.118238367662205e-05, 1.892973486984987e-05, -8.765239112749225e-06,
+    4.083209003913655e-06, -1.911764769188781e-06, 8.989564358030513e-07,
+    -4.242887576610979e-07, 2.0091017184209684e-07, -9.541063582769695e-08,
+    4.54267635177522e-08, -2.1678772126718477e-08, 1.0367413162075348e-08,
+    -4.967496915221295e-09, 2.3843275620503794e-09, -1.1462885967173953e-09,
+    5.519094380875941e-10, -2.660968496369796e-10, 1.2845979395822266e-10,
+    -6.208865745043497e-11, 3.004282040063446e-11, -1.4551965828230574e-11,
+    7.05549040508032e-12, -3.4239853449119175e-12, 1.6630777394007717e-12,
+    -8.084402901380832e-13, 3.9329518624437795e-13,
+)[::-1]
+
+#: the asymptotic series is summed at Re z >= _ASYMPTOTIC_RE, i.e. |v| >= 7,
+#: where its terms fall below 1e-17 by k = 14
+_ASYMPTOTIC_RE = 8.0
+#: B_{2k+2} / (4 k (k+1)) for k = 1..14, the coefficients of v^(-2k)
+_ASYMPTOTIC = (
+    -0.004166666666666667, 0.000992063492063492, -0.0006944444444444445,
+    0.000946969696969697, -0.0021092796092796093, 0.006944444444444444,
+    -0.03166141456582633, 0.19087214564188248, -1.4697895622895623,
+    14.073007246376811, -163.9777521090021, 2284.4826388888887,
+    -37497.570148099025, 716167.7070245743,
+)[::-1]
 
 
 def _is_nonpositive_integer(z):
-    z = complex(z)
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre_01():
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _int_log_gamma1p(u):
-    """int_0^u log Gamma(1+x) dx along the straight segment, Re(u) > -1.
-
-    The integrand is analytic in a neighbourhood of the segment whenever the
-    segment avoids (-inf, -1]; callers arrange Re(u) >= 0.5.
-    """
-    t, w = _gauss_legendre_01()
-    return u * np.sum(w * sp.loggamma(1.0 + u * t))
-
-
-def _log_barnes_g_shifted(z):
-    """log G(z) for Re(z) >= 1.5 via the integral identity."""
+def _log_barnes_g_taylor(z):
+    """log G(z) for |z - 1| <= _TAYLOR_RADIUS; exactly 0 at z = 1."""
     u = z - 1.0
-    return (
-        0.5 * u * _LOG_2PI
-        - 0.5 * u * (u + 1.0)
-        + u * sp.loggamma(1.0 + u)
-        - _int_log_gamma1p(u)
-    )
+    acc = 0.0
+    for c in _TAYLOR:
+        acc = acc * u + c
+    return ((acc * u + _T2) * u + _T1) * u + cmath.log(z)
+
+
+def _log_barnes_g_asymptotic(v):
+    """log G(v+1) for Re v >= _ASYMPTOTIC_RE - 1:
+    (v^2/2 - 1/12) log v - 3 v^2/4 + (v/2) log 2 pi + zeta'(-1)
+    + sum_k B_{2k+2} / (4 k (k+1) v^(2k))."""
+    v2 = v * v
+    r = 1.0 / v2
+    acc = 0.0
+    for c in _ASYMPTOTIC:
+        acc = acc * r + c
+    return ((0.5 * v2 - 1.0 / 12.0) * cmath.log(v) - 0.75 * v2
+            + 0.5 * _LOG_2PI * v + _ZETA_PRIME_M1 + acc * r)
 
 
 def log_barnes_g(z):
@@ -67,22 +106,20 @@ def log_barnes_g(z):
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"Barnes G vanishes at z = {z}")
-    shift = max(0, int(np.ceil(1.5 - z.real)))
-    value = _log_barnes_g_shifted(z + shift)
+    down = max(0, round(z.real) - 1)
+    if down <= _MAX_DOWN and abs(z - (down + 1)) <= _TAYLOR_RADIUS:
+        value = _log_barnes_g_taylor(z - down)
+        for j in range(1, down + 1):
+            value += complex(loggamma(z - j))
+        return value
+    shift = max(0, math.ceil(_ASYMPTOTIC_RE - z.real))
+    value = _log_barnes_g_asymptotic(z + (shift - 1))
     for j in range(shift):
-        zj = z + j
-        if _is_nonpositive_integer(zj):
-            raise PoleError(f"Barnes G recurrence chain hits a pole at {zj}")
-        value -= sp.loggamma(zj)
-    return complex(value)
+        value -= complex(loggamma(z + j))
+    return value
 
 
-@lru_cache(maxsize=1)
 def zeta_prime_minus_one():
-    """zeta'(-1) = 1/12 - log A (A the Glaisher-Kinkelin constant).
-
-    Evaluated once in 30-digit arithmetic and cached; memoisation makes the
-    first concurrent call safe (worst case the constant is computed twice).
-    """
-    with mp.workdps(30):
-        return float(mp.mpf(1) / 12 - mp.log(mp.glaisher))
+    """zeta'(-1) = 1/12 - log A (A the Glaisher-Kinkelin constant), to
+    double precision."""
+    return _ZETA_PRIME_M1

@@ -439,3 +439,18 @@ def test_separation_validation():
         hf.SingularityConfig(
             (hf.Singularity(0.5, 0, 0), hf.Singularity(0.3, 1.0, 0))
         )
+
+
+def test_predict_is_the_expansion_at_n(gue_potential, gue_measure):
+    cfg = cfg_of(hf.Singularity(0.3, 0.4, 0.05 + 0.1j))
+    W = ChebSeries([0.0, 0.2, -0.1])
+    coeffs = hf.expansion_coefficients(gue_potential, gue_measure, W, cfg)
+    for n in (1, 7, 40):
+        pred = coeffs.predict(n)
+        assert pred == hf.predict_log_hankel(gue_potential, gue_measure, W, cfg, n)
+        expected = (coeffs.C1 * n * n + coeffs.C2 * n + coeffs.C3 * np.log(n)
+                    + coeffs.C4)
+        assert pred.value == expected
+        assert pred.coefficients is coeffs
+    with pytest.raises(DomainError, match="n >= 1"):
+        coeffs.predict(0)

@@ -245,3 +245,49 @@ def test_t_u_roundtrip_pointwise(coeffs, x):
     b = np.polynomial.chebyshev.chebval(x, back)
     assert abs(a - b) < 1e-10 * (1 + np.abs(c).max())
 
+
+
+# ------------------------------------------- series arithmetic against numpy
+
+
+# normal floats only: below 2^-1022 the monomial conversion's single
+# rounding and numpy's repeated halving may round a coefficient differently
+_coefficient = st.floats(-10, 10, allow_subnormal=False)
+_complex_coefficient = st.builds(complex, _coefficient, _coefficient)
+
+
+@st.composite
+def coefficient_arrays(draw):
+    element = draw(st.sampled_from([_coefficient, _complex_coefficient]))
+    values = draw(st.lists(element, min_size=1, max_size=9))  # degree <= 8
+    return np.array(values)
+
+
+def assert_matches(mine, reference, inputs=()):
+    # relative to the largest coefficient of the result or of its inputs
+    assert mine.shape == reference.shape
+    scale = max([1.0, float(np.abs(reference).max())]
+                + [float(np.abs(c).max()) for c in inputs])
+    assert np.all(np.abs(mine - reference) <= 1e-14 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_arrays(), coefficient_arrays())
+def test_series_arithmetic_matches_numpy_polynomial(a, b):
+    npc = np.polynomial.chebyshev
+    sa, sb = ChebSeries(a), ChebSeries(b)
+    assert_matches((sa + sb).coeffs, npc.chebadd(a, b))
+    assert_matches((sa - sb).coeffs, npc.chebsub(a, b))
+    assert_matches((sa * sb).coeffs, npc.chebmul(a, b))
+    assert_matches((sa + b[0]).coeffs, npc.chebadd(a, [b[0]]))
+    assert_matches((sa - b[0]).coeffs, npc.chebsub(a, [b[0]]))
+    assert_matches(ChebSeries.from_monomials(a).coeffs, npc.poly2cheb(a), [a])
+
+
+def test_series_arithmetic_drops_trailing_zeros_as_numpy_does():
+    a = ChebSeries([1.0, 2.0, 3.0])
+    assert (a - ChebSeries([0.0, 0.0, 3.0])).degree == 1
+    assert (a - a).coeffs.tolist() == [0.0]
+    assert (ChebSeries([1.0, 0.0, 0.0]) * ChebSeries([0.0, 1.0, 0.0])).degree == 1
+    assert ChebSeries.from_monomials([0, 0, 2, 0, 0]).coeffs.tolist() == [1.0, 0.0, 1.0]
+    assert ChebSeries.from_monomials([0, 0, 0, 0, 8]).coeffs.tolist() == [3.0, 0.0, 4.0, 0.0, 1.0]

@@ -535,3 +535,34 @@ def test_console_entry_point():
         text=True,
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_rows_share_one_evaluation_of_the_constants(capsys, tmp_path, monkeypatch, command):
+    # the constants do not depend on n: each call evaluates them once, and
+    # every row is ExpansionCoefficients.predict at its n
+    import hankelfh.cli as cli_mod
+
+    calls = []
+    original = cli_mod.expansion_coefficients
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli_mod, "expansion_coefficients", counting)
+    data = {"singularities": [{"t": 0.2, "alpha_re": 0.5, "beta_im": 0.1}],
+            "n_list": [3, 4, 6], "precision_bits": 256}
+    code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, data))
+    assert code == 0
+    assert len(calls) == 1
+    coeffs = original(*calls[0])
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == [3, 4, 6]
+    for row in rows:
+        pred = coeffs.predict(row["n"])
+        if command == "predict":
+            assert row["log_abs"] == pred.value.real
+            assert row["error_scale"] == pred.error_scale
+        else:
+            assert row["predicted"]["log_abs"] == pred.value.real

@@ -257,3 +257,20 @@ def test_potential_validation():
         hf.Potential([0, 0, 0, 1.0])  # odd degree
     with pytest.raises(DomainError):
         hf.Potential([0, 0, -2.0])  # negative leading coefficient
+
+
+def test_compute_density_converts_the_derivative_once(monkeypatch):
+    from hankelfh.chebyshev import ChebSeries
+
+    calls = []
+    convert = ChebSeries.from_monomials
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return convert(coeffs)
+
+    monkeypatch.setattr(ChebSeries, "from_monomials", staticmethod(counting))
+    V = hf.Potential([0, 0, 1.0, 0, 2.0 / 3.0])
+    psi = hf.compute_density(V)
+    assert len(calls) == 1
+    assert np.array_equal(psi.coeffs, density_transform(V).coeffs)

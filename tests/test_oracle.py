@@ -1,6 +1,7 @@
 """Extended-precision moments and determinants against closed forms."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import time
@@ -16,6 +17,7 @@ from hankelfh.chebyshev import ChebSeries
 import hankelfh.oracle as oracle_mod
 from hankelfh.errors import ConvergenceError, DomainError
 from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE, wrap_phase
+from mpmath.libmp import mpf_neg
 
 
 def gue_weight(n):
@@ -711,3 +713,53 @@ def test_cutoff_search_failure_names_the_last_cutoff():
         r"x\^2 \|w\(x\)\| still exceeds its target by 2\^[\d.e+]+$"
     )):
         hf.oracle_log_det(ws, 256)
+
+
+def test_both_panel_orientations_come_from_one_tanh_sinh_run():
+    # alpha < 0 gives the panels [-X, 0] and [0, X] different floors at 0,
+    # so each level asks for the tables (a, b) and (b, a). One enumeration
+    # serves both, and the moments are those of two separate enumerations
+    # bit for bit (digest of the moments that enumerating each orientation
+    # on its own gave at 512 bits)
+    cfg = hf.SingularityConfig((hf.Singularity(0.0, -0.5, 0.0),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 4)
+    oracle_mod._tanh_sinh_nodes.cache_clear()
+    oracle_mod._tanh_sinh_run.cache_clear()
+    moments = oracle_mod.compute_moments(ws, 4, 512)
+    tables = oracle_mod._tanh_sinh_nodes.cache_info().misses
+    runs = oracle_mod._tanh_sinh_run.cache_info().misses
+    assert tables == 2 * runs > 0
+    raw = [(s, int(man), e, bc) for s, man, e, bc in (m._mpf_ for m in moments)]
+    digest = hashlib.sha256(repr(raw).encode()).hexdigest()
+    assert digest == "95635a01a3e69fc7c45bfbdcb0d861d3a9c62013df8fefd97c8dbb157a369b11"
+
+
+@pytest.mark.parametrize("left_bits, right_bits", [(400, 900), (900, 400), (600, 600)])
+def test_tanh_sinh_orientations_mirror_each_other(left_bits, right_bits):
+    # swapping the floors mirrors the table: u -> -u with 1 - u and 1 + u
+    # swapped; each end keeps the nodes whose transform weight reaches its
+    # floor, and a node u > 0 that both ends keep comes right before -u
+    table = oracle_mod._tanh_sinh_nodes(5, True, 640, left_bits, right_bits)
+    mirror = oracle_mod._tanh_sinh_nodes(5, True, 640, right_bits, left_bits)
+    flipped = {(mpf_neg(u), up, um, w) for u, um, up, w in mirror.nodes}
+    assert set(table.nodes) == flipped
+    towards_left = table.u < 0
+    assert np.all(table.log2_w[towards_left] >= -left_bits)
+    assert np.all(table.log2_w[~towards_left] >= -right_bits)
+    assert (towards_left.sum() > (~towards_left).sum()) == (left_bits > right_bits)
+    us = [u for u, _, _, _ in table.nodes]
+    for k, u in enumerate(us):
+        if u[0] and mpf_neg(u) in us:  # sign bit set: u < 0
+            assert us[k - 1] == mpf_neg(u)
+
+
+def test_screen_keeps_the_nodes_of_alpha_within_one_ulp_of_minus_one():
+    # 1 + alpha = 2^-53: log2 |x - t| at the panel's floor is near -3e18,
+    # where float64 rounding of the screen's estimate exceeds the tail's
+    # weight; the screen must still keep every node that counts (it used to
+    # skip them, and the moment route stalled at level 11)
+    cfg = hf.SingularityConfig((hf.Singularity(-0.87, -1 + 2.0 ** -53, 0.0),))
+    ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 1)
+    res = hf.oracle_log_det(ws, 256)
+    assert res.converged
+    assert abs(res.log_abs - hf.op_recurrence_log_det(ws).log_abs) < 1e-10

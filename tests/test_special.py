@@ -99,3 +99,55 @@ def test_zeta_prime_sign_and_cache():
     assert hf.zeta_prime_minus_one() is hf.zeta_prime_minus_one() or (
         hf.zeta_prime_minus_one() == hf.zeta_prime_minus_one()
     )
+
+
+# ------------------------------------------------ series kernel of log_barnes_g
+
+
+def _barnes_grid():
+    """Seeded points with Re z in [-3, 4] and 0.05 <= |Im z| <= 6, then real
+    z in (0, 6]."""
+    rng = np.random.default_rng(23)
+    points = [
+        complex(rng.uniform(-3, 4), rng.choice([-1, 1]) * rng.uniform(0.05, 6))
+        for _ in range(160)
+    ]
+    return points + list(rng.uniform(0, 6, 40)) + [0.25, 1.75, 2.5, 6.0]
+
+
+def test_barnes_g_grid_against_mpmath():
+    # independent oracle: mpmath's Barnes G, compared modulo 2 pi i
+    for z in _barnes_grid():
+        with mp.workdps(30):
+            oracle = complex(mp.log(mp.barnesg(z)))
+        diff = hf.log_barnes_g(z) - oracle
+        diff -= 2j * np.pi * round(diff.imag / (2 * np.pi))
+        assert abs(diff) < 5e-14 * max(1.0, abs(oracle)), z
+
+
+def test_barnes_g_branch_is_continuous_along_rays():
+    # consecutive points 0.01 apart on rays leaving the real axis: log G
+    # changes by far less than 1 there, so a difference near 2 pi would be
+    # a jump of branch
+    for x in np.linspace(-3.3, 4.1, 38):
+        for sign in (1, -1):
+            values = [hf.log_barnes_g(complex(x, sign * y))
+                      for y in np.arange(0.05, 6.0, 0.01)]
+            assert np.max(np.abs(np.diff(values))) < 1.0, (x, sign)
+
+
+def test_barnes_g_is_exactly_zero_at_one_and_two():
+    assert hf.log_barnes_g(1.0) == 0
+    assert hf.log_barnes_g(2.0) == 0
+
+
+def test_barnes_g_overflow_is_not_finite_and_silent():
+    # alpha ~ 1e154 overflows the expansion; the kernel returns a
+    # non-finite value (named by expansion_coefficients), without warnings
+    import cmath
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e154, 1 + 5e153 + 0.1j, 1e300):
+            assert not cmath.isfinite(hf.log_barnes_g(z))
