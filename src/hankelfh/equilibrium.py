@@ -57,6 +57,8 @@ class Potential:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if not np.all(np.isfinite(c)):
+            raise DomainError(f"potential coefficients must be finite, got {c}")
         c = np.trim_zeros(c, "b")
         if c.size == 0:
             raise DomainError("potential is identically zero")

@@ -15,6 +15,7 @@ from a spawned seed sequence, so results do not depend on batch scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
     underflowing to 0), the one-sigma bound 1/(samples + 1) stands in for
     the zero sample variance.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
     if samples < MIN_SAMPLES:
         raise DomainError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
     log_s = np.log(spec.s_tilde())

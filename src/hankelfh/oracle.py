@@ -7,16 +7,19 @@ quadrature, the panels split at every singularity so that the factors
 transform absorbs them for any Re(alpha) > -1. Tails are truncated where the
 integrand falls below the precision floor; at a panel end with
 Re(alpha) < 0 the node enumeration runs correspondingly further
-(_floor_bits). The weight is evaluated on raw mpf tuples in libmp
-arithmetic, bit for bit what mpf objects would give. The moment sums are
-Python integers in fixed point, split by panel and by the sign of x, with
-fractional bits G from a written rounding bound (_fraction_bits); once G is
-known, a float64 screen skips the nodes whose q |w(x)| lies below 2^-G by
-a margin, which would add exactly 0 (_can_count). A pivoted triangular
-factorisation in mpmath gives the determinant. Hankel moment matrices are
-exponentially ill-conditioned in n, hence the working-precision cap of
-max(256, 48 n) bits; the factor is validated by the precision-robustness
-tests rather than assumed.
+(_floor_bits). One cache of nodes u in [0, 1) per level serves both ends
+of every panel, u towards the right end and -u towards the left
+(_panel_run). The weight is evaluated on raw mpf tuples in libmp
+arithmetic, bit for bit what mpf objects would give, and stays in raw
+tuples down to the moment sums: Python integers in fixed point, split by
+panel and by the sign of x, with fractional bits G from a written rounding
+bound (_fraction_bits). A float64 estimate of every node's size sets G
+before any node is evaluated, and on every level screens out the nodes
+whose q |w(x)| lies below 2^-G by a margin, which would add exactly 0
+(_can_count). A pivoted triangular factorisation in mpmath gives the
+determinant. Hankel moment matrices are exponentially ill-conditioned in
+n, hence the working-precision cap of max(256, 48 n) bits; the factor is
+validated by the precision-robustness tests rather than assumed.
 
 The orthogonal-polynomial recurrence, in float64 for every admitted
 weight: Lanczos in the bilinear form sum w p q on a graded Gauss-Legendre
@@ -41,13 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
-    from_float, fzero, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_mul_int,
-    mpf_neg, mpf_sub, round_nearest, to_fixed, to_float,
+    from_float, fzero, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_sub, round_nearest, to_fixed, to_float,
 )
 from numpy.polynomial import chebyshev as npcheb
 
@@ -104,8 +108,8 @@ class WeightSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
+            raise DomainError(f"need an integer n >= 1, got {self.n!r}")
         for s in self.cfg:
             if math.pi * abs(s.beta.imag) > _LOG_FLOAT_MAX:
                 raise DomainError(f"singularity at t = {s.t}: its jump factor e^(pi "
@@ -260,16 +264,16 @@ def _floor_bits(prec, sing):
     return math.ceil((prec + 16) / (1.0 + re_alpha))
 
 
-class _NodeTable(NamedTuple):
-    """Tanh-sinh nodes as raw mpf tuples (u, 1-u, 1+u, w'), and float views
-    of them for the zero-contribution screen: u, and log2 of 1-u, 1+u and
-    w' taken from the mpf exponents (w' and 1 -/+ u underflow float64 at
-    high precision)."""
+class _Run(NamedTuple):
+    """Tanh-sinh nodes u in [0, 1) as raw mpf tuples (u, 1-u, 1+u, w'), and
+    read-only float arrays of need, the least b with w' >= 2^-b, of u, and
+    of log2 (1-u) and log2 w' from the mpf exponents (w' and 1-u underflow
+    float64 at high precision)."""
 
     nodes: tuple
+    need: np.ndarray
     u: np.ndarray
     log2_um: np.ndarray
-    log2_up: np.ndarray
     log2_w: np.ndarray
 
 
@@ -277,19 +281,18 @@ class _NodeTable(NamedTuple):
 def _tanh_sinh_run(level, only_odd, prec, floor_bits):
     """Tanh-sinh nodes of (0, 1) with step h = 2^-level, in order of j, for
     every j whose transform weight w' is at least 2^-floor_bits (always
-    j = 0): tuples (j, need, (u, 1-u, 1+u, w'), float views), where need is
-    the least b with w' >= 2^-b.
+    j = 0), as a _Run.
 
-    The mpf values are raw tuples and w' excludes the step factor h (the
-    progressive scheme rescales it at every refinement). The endpoint gaps
-    1 -/+ u are computed through 2/(exp(+/-2s)+1), free of cancellation.
-    ``only_odd`` yields just the j new to this level. The node -u of each j
-    mirrors u, so one run serves both ends of every panel.
+    w' excludes the step factor h (the progressive scheme rescales it at
+    every refinement). The endpoint gaps 1 -/+ u are computed through
+    2/(exp(+/-2s)+1), free of cancellation. ``only_odd`` yields just the j
+    new to this level. The node -u of each j mirrors u, so one run serves
+    both ends of every panel (_panel_run).
     """
     with mp.workprec(prec):
         h = mp.mpf(1) / (1 << level)
         half_pi = mp.pi / 2
-        run = []
+        nodes, views = [], []
         j = 1 if only_odd else 0
         step = 2 if only_odd else 1
         while True:
@@ -305,34 +308,27 @@ def _tanh_sinh_run(level, only_odd, prec, floor_bits):
             one_minus = 2 / (e2s + 1)
             u = 1 - one_minus
             one_plus = 2 * e2s / (e2s + 1)
-            run.append((j, need,
-                        (u._mpf_, one_minus._mpf_, one_plus._mpf_, w._mpf_),
-                        (float(u), _log2(one_minus), _log2(one_plus), _log2(w))))
+            nodes.append((u._mpf_, one_minus._mpf_, one_plus._mpf_, w._mpf_))
+            views.append((need, float(u), _log2(one_minus._mpf_), _log2(w._mpf_)))
             j += step
-    return tuple(run)
+    need, *cols = (np.array(c) for c in zip(*views))
+    for c in (need, *cols):
+        c.flags.writeable = False
+    return _Run(tuple(nodes), need, *cols)
 
 
-@lru_cache(maxsize=64)
-def _tanh_sinh_nodes(level, only_odd, prec, left_bits, right_bits):
-    """Standard tanh-sinh nodes on (-1, 1) with step h = 2^-level, as a
-    _NodeTable of (u, 1-u, 1+u, w') (see _tanh_sinh_run).
-
-    Enumeration towards -1 stops once w' falls below 2^-left_bits, towards
-    +1 below 2^-right_bits (see _floor_bits); each j gives its node u, then
-    its mirror -u. Both orientations of a pair of floors come from one run.
+def _panel_run(level, prec, ends):
+    """One level's tanh-sinh nodes on a panel whose ends have the floors
+    (left bits, right bits) of _floor_bits: the run, the indices into it of
+    the nodes towards the right end, u for every j whose w' reaches that
+    end's floor, then of those towards the left end, -u for every such
+    j > 0, and the count of the former. Levels after _START_LEVEL add the
+    odd j only. Either way a node's distance to its own end is half (1 - u).
     """
-    nodes, views = [], []
-    for j, need, (u, um, up, w), (uf, lm, lp, lw) in _tanh_sinh_run(
-            level, only_odd, prec, max(left_bits, right_bits)):
-        if need <= right_bits or j == 0:
-            nodes.append((u, um, up, w))
-            views.append((uf, lm, lp, lw))
-        if need <= left_bits and j > 0:
-            nodes.append((mpf_neg(u), up, um, w))
-            views.append((-uf, lp, lm, lw))
-    cols = np.array(views).T
-    cols.flags.writeable = False
-    return _NodeTable(tuple(nodes), *cols)
+    only_odd = level > _START_LEVEL
+    run = _tanh_sinh_run(level, only_odd, prec, max(ends))
+    n_left, n_right = (int(np.searchsorted(run.need, b, side="right")) for b in ends)
+    return run, np.r_[0:n_right, (0 if only_odd else 1):n_left], n_right
 
 
 def _find_cutoff(ws, max_power, precision_bits):
@@ -362,14 +358,14 @@ def _find_cutoff(ws, max_power, precision_bits):
 
 
 def _log2(v):
-    """log2 |v| of an mpf as a float (-inf for zero)."""
-    _, man, exp, _ = v._mpf_
+    """log2 |v| of a raw mpf tuple as a float (-inf for zero)."""
+    _, man, exp, _ = v
     return math.log2(man) + exp if man else -math.inf
 
 
 def _fixed_abs(v, bits):
-    """floor(|v| 2^bits) of an mpf v, as a Python int."""
-    _, man, exp, _ = v._mpf_
+    """floor(|v| 2^bits) of a raw mpf tuple v, as a Python int."""
+    _, man, exp, _ = v
     shift = exp + bits
     return man << shift if shift >= 0 else man >> -shift
 
@@ -405,11 +401,9 @@ def _fraction_bits(workprec, n_mom, X, log2_abs_sums, log2_m_max):
     )
 
 
-def _estimate_abs_sums(points, n_mom):
-    """Float log2 of T_j = sum m |x|^j (j < n_mom) and of max m over the
-    nodes (p, x, m, theta)."""
-    lm = np.array([_log2(m) for _, _, m, _ in points])
-    lx = np.array([_log2(x) for _, x, _, _ in points])
+def _estimate_abs_sums(lx, lm, n_mom):
+    """Float log2 of T_j = sum m |x|^j (j < n_mom) and of max m over nodes
+    with log2 |x| = lx and log2 m = lm."""
     with np.errstate(invalid="ignore"):
         e = lm + np.arange(n_mom)[:, None] * lx
     e[0] = lm  # |x|^0 = 1, also at x = 0
@@ -425,7 +419,7 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, evaluator):
     def overshoot(j):  # log2 of |change| / tolerance
         t = abs_sums[j]
         tol = math.log2(t) + tol_exp if t else -math.inf
-        return _log2(abs(cur[j] - prev[j])) - tol
+        return _log2(abs(cur[j] - prev[j])._mpf_) - tol
 
     failed = [j for j, t in enumerate(abs_sums)
               if abs(cur[j] - prev[j]) > mp.mpf((t, tol_exp))]
@@ -443,53 +437,63 @@ def _stall_message(cur, prev, abs_sums, tol_exp, X, workprec, count, evaluator):
 _SCREEN_MARGIN_BITS = 8  # of the zero-contribution screen's float estimate
 
 
-def _can_count(ws, panel, table, G):
-    """Mask of the table's nodes on a panel whose q |w(x)| may reach
-    2^-(G + _SCREEN_MARGIN_BITS): the rest give floor(q |w(x)| 2^G) = 0 and
-    add nothing to any fixed-point sum (see compute_moments). The float64
-    estimate is _log_weight at x = mid + half u, with the node's own end
-    distance half (1 -/+ u) from the table's log2 views, plus the panel's
-    jump modulus and log(half w'). Its float64 rounding grows with the
-    size of the logs it adds (log2 |x - t| reaches -(prec + 16)/(1 + Re
-    alpha), near 1e18 for Re alpha = -1 + 2^-53), so the threshold is
-    lowered by 2^-48 times their total, above the bound of its roundings."""
-    mid, half, (left, right, jump_re), _ = panel
+def _log2_sizes(ws, panel, level, prec):
+    """Float64 log2 |x| and log2 q |w(x)| at a panel's nodes of one level
+    (_panel_run), and a bound of the latter's rounding: _log_weight at x =
+    mid + half u, with the node's own end distance half (1 - |u|) from the
+    run's log2 view, plus the panel's jump modulus and log(half w'). Its
+    float64 rounding grows with the size of the logs it adds (log2 |x - t|
+    reaches -(prec + 16)/(1 + Re alpha), near 1e18 for Re alpha = -1 +
+    2^-53): the bound is 2^-48 times their total, above that of its
+    roundings."""
+    mid, half, (left, right, jump_re), ends = panel
+    run, idx, n_right = _panel_run(level, prec, ends)
     mid, half = to_float(mid), to_float(half)
     log2_half, ln2 = math.log2(half), math.log(2)
-    towards_right = table.u > 0
+    towards_right = np.arange(idx.size) < n_right
     own = np.where(towards_right, -1 if right is None else right,
                    -1 if left is None else left)
-    log2_s = log2_half + np.where(towards_right, table.log2_um, table.log2_up)
-    with np.errstate(divide="ignore"):  # x may round onto its own end
-        log_w = _log_weight(ws, mid + half * table.u, own, log2_s * ln2).real
-    log2_q = (log_w + to_float(jump_re)) / ln2 + log2_half + table.log2_w
+    log2_s = log2_half + run.log2_um[idx]
+    log2_w = run.log2_w[idx]
+    x = mid + half * np.where(towards_right, run.u[idx], -run.u[idx])
+    with np.errstate(divide="ignore"):  # x may round onto its own end, or 0
+        log_w = _log_weight(ws, x, own, log2_s * ln2).real
+        log2_x = np.log2(np.abs(x))
+    log2_q = (log_w + to_float(jump_re)) / ln2 + log2_half + log2_w
     alpha_sum = sum(abs(s.alpha) for s in ws.cfg)
     rounding = 2.0 ** -48 * (np.abs(log2_s) * (1.0 + alpha_sum)
-                             + np.abs(table.log2_w) + np.abs(log2_q))
+                             + np.abs(log2_w) + np.abs(log2_q))
+    return log2_x, log2_q, rounding
+
+
+def _can_count(ws, panel, level, prec, G):
+    """Mask of a panel's nodes of one level whose q |w(x)| may reach
+    2^-(G + _SCREEN_MARGIN_BITS) by the float64 estimate of _log2_sizes,
+    lowered by its rounding bound: the rest give floor(q |w(x)| 2^G) = 0
+    and add nothing to any fixed-point sum (see compute_moments)."""
+    _, log2_q, rounding = _log2_sizes(ws, panel, level, prec)
     return log2_q >= -(G + _SCREEN_MARGIN_BITS) - rounding
 
 
-def _nodes(level, only_odd, panels, evaluator, workprec, G=None):
-    """Tanh-sinh nodes of one level on every panel, as (panel index, x,
-    q |w(x)|, theta) mpf values, with q the node's transform weight times
-    the panel's half-width (the step h = 2^-level is applied to the sums).
-    Given the sums' fractional bits G, nodes that _can_count rules out are
-    skipped, unevaluated."""
-    prec, rnd, make = workprec, round_nearest, mp.make_mpf
+def _nodes(level, panels, evaluator, workprec, G):
+    """Tanh-sinh nodes of one level on every panel that _can_count keeps,
+    as raw mpf tuples (panel index, x, q |w(x)|, theta), with q the node's
+    transform weight times the panel's half-width (the step h = 2^-level is
+    applied to the sums); the others are skipped, unevaluated."""
+    prec, rnd = workprec, round_nearest
     for p, panel in enumerate(panels):
         mid, half, consts, ends = panel
-        table = _tanh_sinh_nodes(level, only_odd, workprec, *ends)
-        nodes = table.nodes
-        if G is not None:
-            keep = np.flatnonzero(_can_count(evaluator.ws, panel, table, G))
-            evaluator.skipped += len(nodes) - keep.size
-            nodes = [nodes[i] for i in keep]
-        evaluator.evaluated += len(nodes)
-        for u, um, up, w in nodes:
+        run, idx, n_right = _panel_run(level, prec, ends)
+        keep = np.flatnonzero(_can_count(evaluator.ws, panel, level, prec, G))
+        evaluator.skipped += idx.size - keep.size
+        evaluator.evaluated += keep.size
+        for k, i in zip(keep.tolist(), idx[keep].tolist()):
+            u, um, up, w = run.nodes[i]
+            if k >= n_right:  # the mirror -u, towards the left end
+                u, um, up = mpf_neg(u), up, um
             x = mpf_add(mid, mpf_mul(half, u, prec, rnd), prec, rnd)
             mod, theta = evaluator.value(x, half, up, um, consts)
-            m = mpf_mul(mpf_mul(half, w, prec, rnd), mod, prec, rnd)
-            yield p, make(x), make(m), None if theta is None else make(theta)
+            yield p, x, mpf_mul(mpf_mul(half, w, prec, rnd), mod, prec, rnd), theta
 
 
 def compute_moments(ws, count, precision_bits):
@@ -512,16 +516,19 @@ def compute_moments(ws, count, precision_bits):
 
     The weight is evaluated in libmp arithmetic on raw mpf tuples
     (_WeightEvaluator), the same operations in the same order as mpf
-    objects. From level _START_LEVEL + 1 on, where G is known, _can_count
-    skips every node whose float64 estimate of log2(q |w(x)|) lies below
-    -G - _SCREEN_MARGIN_BITS: such a node adds floor(q |w| 2^G) = 0 to every
-    sum and leaves max q |w| alone, so the sums, the level of convergence,
-    the rounding-bound check and the moments are those of the unscreened
-    nodes, bit for bit, for every weight with real alpha. With complex
-    alpha a skipped node's negative q |w| cos(theta) or q |w| sin(theta)
-    would have added floor(...) = -1 and its integer powers, at most
-    (j + 1) X'^j units of 2^-G at moment j: inside the per-node truncation
-    budget of _fraction_bits.
+    objects, and the nodes reach the integer sums as raw tuples. G comes
+    from the float64 estimates of log2(q |w(x)|) and log2 |x| that
+    _log2_sizes makes at level _START_LEVEL's nodes, before any node is
+    evaluated. Every level, that one included, runs alike: _can_count
+    skips every node whose estimate lies below -G - _SCREEN_MARGIN_BITS.
+    Such a node adds floor(q |w| 2^G) = 0 to every sum and leaves max q |w|
+    alone, so the sums, the level of convergence, the rounding-bound check
+    and the moments are those of the unscreened nodes, bit for bit, for
+    every weight with real alpha. With complex alpha a skipped node's
+    negative q |w| cos(theta) or q |w| sin(theta) would have added
+    floor(...) = -1 and its integer powers, at most (j + 1) X'^j units of
+    2^-(G + level) at moment j: inside the per-node truncation budget of
+    _fraction_bits.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
@@ -556,22 +563,12 @@ def compute_moments(ws, count, precision_bits):
         # acc[panel][x < 0][part][j]; parts: q|w|, q|w| cos(theta), q|w| sin(theta)
         acc = [[[[0] * n_mom for _ in range(n_parts)] for _ in range(2)]
                for _ in panels]
-        a_max = 0
+        log2_x, log2_q = (np.concatenate(a) for a in zip(*(
+            _log2_sizes(ws, panel, _START_LEVEL, workprec)[:2] for panel in panels)))
+        G = _HEADROOM_BITS + math.ceil(_fraction_bits(
+            workprec, n_mom, X, *_estimate_abs_sums(log2_x, log2_q, n_mom)))
 
-        def accumulate(points, G):
-            nonlocal a_max
-            for p, x, m, theta in points:
-                xi = _fixed_abs(x, G)
-                a = _fixed_abs(m, G)
-                a_max = max(a_max, a)
-                parts = acc[p][x._mpf_[0]]
-                _add_powers(parts[0], a, xi, G)
-                if theta is not None:
-                    c, s = mp.cos_sin(theta)
-                    _add_powers(parts[1], to_fixed((m * c)._mpf_, G), xi, G)
-                    _add_powers(parts[2], to_fixed((m * s)._mpf_, G), xi, G)
-
-        def level_sums(level, G):
+        def level_sums(level):
             """h-scaled moments of the nodes so far, and their integer sums of
             q |w| |x|^j."""
             e = -(G + level)
@@ -596,22 +593,22 @@ def compute_moments(ws, count, precision_bits):
                     ))
             return moments, abs_sums
 
-        start = list(_nodes(_START_LEVEL, False, panels, evaluator, workprec))
-        log2_t, log2_m_max = _estimate_abs_sums(start, n_mom)
-        G = _HEADROOM_BITS + math.ceil(
-            _fraction_bits(workprec, n_mom, X, log2_t, log2_m_max)
-        )
-        accumulate(start, G)
-        prev, _ = level_sums(_START_LEVEL, G)
-        level = _START_LEVEL
-        while True:
-            level += 1
-            accumulate(_nodes(level, True, panels, evaluator, workprec, G), G)
-            cur, abs_sums = level_sums(level, G)
+        a_max, rnd = 0, round_nearest
+        for level in range(_START_LEVEL, _MAX_LEVEL + 1):
+            for p, x, m, theta in _nodes(level, panels, evaluator, workprec, G):
+                xi = _fixed_abs(x, G)
+                a = _fixed_abs(m, G)
+                a_max = max(a_max, a)
+                parts = acc[p][x[0]]  # the sign bit: x < 0
+                _add_powers(parts[0], a, xi, G)
+                if theta is not None:
+                    for part, f in zip(parts[1:], mpf_cos_sin(theta, workprec, rnd)):
+                        _add_powers(part, to_fixed(mpf_mul(m, f, workprec, rnd), G), xi, G)
+            cur, abs_sums = level_sums(level)
             # |change| <= 2^-(precision_bits + 16) times the h-scaled abs sum
             tol_exp = -(G + level + precision_bits + 16)
-            if all(abs(c - p) <= mp.mpf((t, tol_exp))
-                   for c, p, t in zip(cur, prev, abs_sums)):
+            if level > _START_LEVEL and all(abs(c - p) <= mp.mpf((t, tol_exp))
+                                            for c, p, t in zip(cur, prev, abs_sums)):
                 break
             if level == _MAX_LEVEL:
                 raise ConvergenceError(_stall_message(

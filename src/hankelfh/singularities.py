@@ -9,6 +9,7 @@ endpoints.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -29,6 +30,9 @@ class Singularity:
     beta: complex = 0.0
 
     def __post_init__(self):
+        for name, value in (("t", self.t), ("alpha", self.alpha), ("beta", self.beta)):
+            if not cmath.isfinite(value):
+                raise HypothesisError(f"singularity {name} must be finite, got {value}")
         if not -1.0 < self.t < 1.0:
             raise HypothesisError(f"singularity location {self.t} not in (-1, 1)")
         if complex(self.alpha).real <= -1.0:

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import hankelfh as hf
+
+# Fixed examples: every run of the property tests draws the same inputs
+# from the same seed, and no example database replays earlier failures
+# from the working directory; each test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

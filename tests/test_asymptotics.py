@@ -428,6 +428,18 @@ def test_singularity_hypothesis_validation():
         hf.Singularity(0.2, 0.0, 0.25)
     with pytest.raises(HypothesisError):
         hf.Singularity(1.0, 0.0, 0.0)
+    # every comparison with NaN is false, so a NaN alpha passed the range
+    # check Re(alpha) <= -1, and an infinite alpha or Im beta passed it too
+    nan, inf = float("nan"), float("inf")
+    for field, args in [
+        ("t", (nan,)), ("t", (inf,)), ("t", (-inf,)),
+        ("alpha", (0.2, nan)), ("alpha", (0.2, inf)), ("alpha", (0.2, -inf)),
+        ("alpha", (0.2, complex(0.5, nan))), ("alpha", (0.2, complex(0.5, inf))),
+        ("beta", (0.2, 0.0, nan)), ("beta", (0.2, 0.0, complex(0.1, nan))),
+        ("beta", (0.2, 0.0, complex(0.0, -inf))),
+    ]:
+        with pytest.raises(HypothesisError, match=f"^singularity {field} must be"):
+            hf.Singularity(*args)
 
 
 def test_separation_validation():

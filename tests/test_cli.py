@@ -355,7 +355,7 @@ def test_multi_n_rows_equal_single_n_rows(tmp_path, capsys, command):
     rows = json.loads(out)["rows"]
     assert [r["n"] for r in rows] == [4, 6, 8]
     for row in rows:
-        oracle_mod._tanh_sinh_nodes.cache_clear()
+        oracle_mod._tanh_sinh_run.cache_clear()
         oracle_mod._gauss_legendre.cache_clear()
         code, out, _ = run_cli(capsys, command, "--config", path, "--n", str(row["n"]))
         assert code == 0

@@ -257,6 +257,10 @@ def test_potential_validation():
         hf.Potential([0, 0, 0, 1.0])  # odd degree
     with pytest.raises(DomainError):
         hf.Potential([0, 0, -2.0])  # negative leading coefficient
+    nan, inf = float("nan"), float("inf")
+    for coeffs in ([0, 0, inf], [0, nan, 2.0], [-inf, 0, 2.0]):
+        with pytest.raises(DomainError, match="^potential coefficients must be finite"):
+            hf.Potential(coeffs)
 
 
 def test_compute_density_converts_the_derivative_once(monkeypatch):

@@ -143,3 +143,6 @@ def test_validation():
         hf.mc_gap_probability(spec, 0, 10_000, seed=0)
     with pytest.raises(DomainError):
         hf.mc_gap_probability(spec, 5, 999, seed=0)
+    for n in (2.5, 3.0, True, "4"):
+        with pytest.raises(DomainError, match="need an integer n >= 1"):
+            hf.mc_gap_probability(spec, n, 10_000, seed=0)

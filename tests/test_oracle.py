@@ -17,7 +17,6 @@ from hankelfh.chebyshev import ChebSeries
 import hankelfh.oracle as oracle_mod
 from hankelfh.errors import ConvergenceError, DomainError
 from hankelfh.oracle import MOMENT_DETERMINANT, OP_RECURRENCE, wrap_phase
-from mpmath.libmp import mpf_neg
 
 
 def gue_weight(n):
@@ -103,6 +102,12 @@ def test_gue_determinants_match_product_formula_tightly():
         assert diff < mp.mpf(10) ** -20, n
         assert res.phase == 0.0
         assert res.converged
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -2])
+def test_weight_needs_an_integer_n(n):
+    with pytest.raises(DomainError, match="need an integer n >= 1"):
+        gue_weight(n)
 
 
 def test_moment_count_validation():
@@ -525,9 +530,10 @@ def mpf_reference_moments(monkeypatch, ws, count, precision_bits):
 
     def spy(level, *args):
         levels.append(level)
-        for point in generate(level, *args):
-            points.append(point)
-            yield point
+        for p, *raw_values in generate(level, *args):
+            points.append((p, *(None if v is None else mp.make_mpf(v)
+                                for v in raw_values)))
+            yield (p, *raw_values)
 
     monkeypatch.setattr(oracle_mod, "_nodes", spy)
     moments = hf.compute_moments(ws, count, precision_bits)
@@ -601,32 +607,35 @@ def test_screen_skips_only_nodes_that_add_nothing(monkeypatch, V, W, sings, n,
                                                   precision_bits):
     # with every node kept the moments are the same bit for bit; complex
     # alpha may move its cos/sin sums by the per-node truncation budget of
-    # _fraction_bits for each skipped node, a floor(negative) = -1
+    # _fraction_bits for each skipped node, a floor(negative) = -1 at the
+    # step h = 2^-level of the node's own level, the start level included
     ws = hf.WeightSpec(V, W, hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings)), n)
-    screen, skipped, bits = oracle_mod._can_count, [], set()
+    screen, skipped, bits = oracle_mod._can_count, {}, set()
 
-    def counting(ws, panel, table, G):
-        keep = screen(ws, panel, table, G)
-        skipped.append(int(keep.size - keep.sum()))
+    def counting(ws, panel, level, prec, G):
+        keep = screen(ws, panel, level, prec, G)
+        skipped[level] = skipped.get(level, 0) + int(keep.size - keep.sum())
         bits.add(G)
         return keep
 
+    def keep_all(ws, panel, level, prec, G):
+        return np.ones(oracle_mod._panel_run(level, prec, panel[3])[1].size, bool)
+
     monkeypatch.setattr(oracle_mod, "_can_count", counting)
     screened = hf.compute_moments(ws, n, precision_bits)
-    monkeypatch.setattr(oracle_mod, "_can_count",
-                        lambda ws, panel, table, G: np.ones(table.u.size, bool))
+    monkeypatch.setattr(oracle_mod, "_can_count", keep_all)
     full = hf.compute_moments(ws, n, precision_bits)
-    assert sum(skipped) > 0
+    assert sum(skipped.values()) > 0
     if ws.cfg.singularities[0].alpha.imag == 0:
         assert [raw(m) for m in screened] == [raw(m) for m in full]
         return
     (G,) = bits
     x_max = max(1.0, oracle_mod._find_cutoff(ws, 2 * n - 2, precision_bits))
     with mp.workprec(precision_bits + oracle_mod._GUARD_BITS):
+        steps = sum(k * mp.mpf(2) ** -(G + level) for level, k in skipped.items())
         for j, (a, b) in enumerate(zip(screened, full)):
-            # re and im parts, h = 2^-level at level > _START_LEVEL
-            budget = 2 * sum(skipped) * (j + 1) * mp.mpf(x_max) ** j
-            assert abs(a - b) <= budget * mp.mpf(2) ** -(G + oracle_mod._START_LEVEL + 1)
+            # re and im parts
+            assert abs(a - b) <= 2 * steps * (j + 1) * mp.mpf(x_max) ** j
 
 
 def test_fixed_point_scale_below_its_bound_raises(monkeypatch):
@@ -662,12 +671,14 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     assert float(bits) > 0
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
-    # one panel: every node of both levels, evaluated or screened out
+    # one panel: every node within the floor of both its ends at both
+    # levels, evaluated or screened out; j = 0 once
     prec = int(workprec)
-    ends = (oracle_mod._floor_bits(prec, None),) * 2
-    nodes = sum(len(oracle_mod._tanh_sinh_nodes(level, level > oracle_mod._START_LEVEL,
-                                                prec, *ends).nodes)
-                for level in (oracle_mod._START_LEVEL, oracle_mod._START_LEVEL + 1))
+    floor = oracle_mod._floor_bits(prec, None)
+    nodes = 0
+    for level in (oracle_mod._START_LEVEL, oracle_mod._START_LEVEL + 1):
+        run = oracle_mod._tanh_sinh_run(level, level > oracle_mod._START_LEVEL, prec, floor)
+        nodes += 2 * int((run.need <= floor).sum()) - (level == oracle_mod._START_LEVEL)
     assert int(evaluated) + int(skipped) == nodes
     assert int(skipped) > 0
     assert message.endswith(
@@ -715,42 +726,98 @@ def test_cutoff_search_failure_names_the_last_cutoff():
         hf.oracle_log_det(ws, 256)
 
 
-def test_both_panel_orientations_come_from_one_tanh_sinh_run():
+def moment_digest(moments):
+    """sha256 of the raw mpf tuples of the moments (both parts of an mpc)."""
+    def exact(v):
+        s, man, e, bc = v
+        return s, int(man), e, bc
+
+    raw = [tuple(map(exact, m._mpc_)) if hasattr(m, "_mpc_") else exact(m._mpf_)
+           for m in moments]
+    return hashlib.sha256(repr(raw).encode()).hexdigest()
+
+
+JUMP = ((0.2, 0.0, 0.1j),)
+PAIR = ((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j))
+
+
+@pytest.mark.parametrize(
+    "V, W, sings, n, digest",
+    [
+        # the weights of the benchmark's jump_compare and positive_crosscheck
+        # workloads at their first rung, 128 bits
+        (hf.Potential.gue(), None, JUMP, 8,
+         "42b09f74fd756af29d32199a2d722364d568f14f331463fcb96e11dd4ba054f9"),
+        (hf.Potential.gue(), None, JUMP, 16,
+         "3350c602989f1e798913750e441d55350cc6431e5a81928686808b7f324d480f"),
+        (hf.Potential.gue(), None, PAIR, 8,
+         "0fe09d62f57e95d479a751d809ca2dc5ca1a7f92454c08033171987b2e0a1001"),
+        (hf.Potential.gue(), None, PAIR, 12,
+         "2670dafde3cf9f66dbc31bc0f7af13e65974075f76a6c62fe4526febd0e5e3b0"),
+        (hf.Potential.gue(), None, (), 8,
+         "f6bfed3c5186f263b881019eb4420295a8bd4931625ac6d5cfa00e732b596de9"),
+        (hf.Potential.gue(), None, ((0.3, 2.0),), 8,
+         "274678146430edb688dcc5ed415073ab8e53ece769c9945afa4125394c9af113"),
+        (hf.Potential([0.0, 0.0, 1.4, 0.0, 0.4]), ChebSeries([0.0, 0.5, 0.25]),
+         ((0.0, 0.8),), 8,
+         "e48fa78931a95b08de77476c44757f27c9831b33154f665f098e743ffa72856a"),
+        (hf.Potential.gue(), None, ((0.0, -0.5),), 4,
+         "3a4a0b57cb94b32be84c683864a6d50e9ea59ca8a65987fb3ecbd9d6b5352c61"),
+    ],
+    ids=["jump-8", "jump-16", "pair-8", "pair-12", "gue-8", "alpha2-8",
+         "quartic-field-8", "alpha-neg-half-4"],
+)
+def test_benchmark_moments_are_pinned(V, W, sings, n, digest):
+    # the moments of the benchmark's weights, bit for bit: any change to the
+    # node cache, the screen or the fixed-point sums that moves a bit shows
+    cfg = hf.SingularityConfig(tuple(hf.Singularity(*s) for s in sings))
+    moments = hf.compute_moments(hf.WeightSpec(V, W, cfg, n), n, 128)
+    assert moment_digest(moments) == digest
+
+
+def test_both_panel_orientations_come_from_one_tanh_sinh_run(monkeypatch):
     # alpha < 0 gives the panels [-X, 0] and [0, X] different floors at 0,
-    # so each level asks for the tables (a, b) and (b, a). One enumeration
-    # serves both, and the moments are those of two separate enumerations
-    # bit for bit (digest of the moments that enumerating each orientation
-    # on its own gave at 512 bits)
+    # so each level needs the nodes towards 0 to two floors. One enumeration
+    # per level serves both ends of both panels, and the moments are those
+    # of two separate enumerations bit for bit (digest of the moments that
+    # enumerating each orientation on its own gave at 512 bits)
     cfg = hf.SingularityConfig((hf.Singularity(0.0, -0.5, 0.0),))
     ws = hf.WeightSpec(hf.Potential.gue(), None, cfg, 4)
-    oracle_mod._tanh_sinh_nodes.cache_clear()
+    levels, generate = [], oracle_mod._nodes
+
+    def spy(level, *args):
+        levels.append(level)
+        return generate(level, *args)
+
+    monkeypatch.setattr(oracle_mod, "_nodes", spy)
     oracle_mod._tanh_sinh_run.cache_clear()
     moments = oracle_mod.compute_moments(ws, 4, 512)
-    tables = oracle_mod._tanh_sinh_nodes.cache_info().misses
-    runs = oracle_mod._tanh_sinh_run.cache_info().misses
-    assert tables == 2 * runs > 0
-    raw = [(s, int(man), e, bc) for s, man, e, bc in (m._mpf_ for m in moments)]
-    digest = hashlib.sha256(repr(raw).encode()).hexdigest()
-    assert digest == "95635a01a3e69fc7c45bfbdcb0d861d3a9c62013df8fefd97c8dbb157a369b11"
+    assert oracle_mod._tanh_sinh_run.cache_info().misses == len(levels) > 1
+    assert moment_digest(moments) == (
+        "95635a01a3e69fc7c45bfbdcb0d861d3a9c62013df8fefd97c8dbb157a369b11")
 
 
 @pytest.mark.parametrize("left_bits, right_bits", [(400, 900), (900, 400), (600, 600)])
 def test_tanh_sinh_orientations_mirror_each_other(left_bits, right_bits):
-    # swapping the floors mirrors the table: u -> -u with 1 - u and 1 + u
-    # swapped; each end keeps the nodes whose transform weight reaches its
-    # floor, and a node u > 0 that both ends keep comes right before -u
-    table = oracle_mod._tanh_sinh_nodes(5, True, 640, left_bits, right_bits)
-    mirror = oracle_mod._tanh_sinh_nodes(5, True, 640, right_bits, left_bits)
-    flipped = {(mpf_neg(u), up, um, w) for u, um, up, w in mirror.nodes}
-    assert set(table.nodes) == flipped
-    towards_left = table.u < 0
-    assert np.all(table.log2_w[towards_left] >= -left_bits)
-    assert np.all(table.log2_w[~towards_left] >= -right_bits)
-    assert (towards_left.sum() > (~towards_left).sum()) == (left_bits > right_bits)
-    us = [u for u, _, _, _ in table.nodes]
-    for k, u in enumerate(us):
-        if u[0] and mpf_neg(u) in us:  # sign bit set: u < 0
-            assert us[k - 1] == mpf_neg(u)
+    # the nodes towards each end are the run's j whose transform weight
+    # reaches that end's floor, j = 0 (the start level's midpoint) once;
+    # swapping the floors swaps the two ends' nodes within the same run
+    for level in (oracle_mod._START_LEVEL, 5):
+        run, idx, n_right = oracle_mod._panel_run(level, 640, (left_bits, right_bits))
+        right, left = idx[:n_right].tolist(), idx[n_right:].tolist()
+        first = 0 if level > oracle_mod._START_LEVEL else 1  # run index 0 is j = 0
+        assert right == np.flatnonzero(run.need <= right_bits).tolist()
+        assert left == (first + np.flatnonzero(run.need[first:] <= left_bits)).tolist()
+        assert idx.tolist().count(0) == 2 - first
+        assert np.all(run.log2_w[right] >= -right_bits)
+        assert np.all(run.log2_w[left] >= -left_bits)
+        assert (len(left) > len(right)) == (left_bits > right_bits)
+        assert run.need.max() <= max(left_bits, right_bits)
+        mirror, mirror_idx, mirror_right = oracle_mod._panel_run(
+            level, 640, (right_bits, left_bits))
+        assert mirror is run
+        assert mirror_idx[:mirror_right].tolist()[first:] == left
+        assert mirror_idx[mirror_right:].tolist() == right[first:]
 
 
 def test_screen_keeps_the_nodes_of_alpha_within_one_ulp_of_minus_one():
