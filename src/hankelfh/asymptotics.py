@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from .chebyshev import ChebSeries, cheb_weighted_integrals, hilbert_T, t_to_u
 from .errors import DomainError
-from .singularities import as_field
+from .singularities import as_field, as_integer
 from .special import log_barnes_g, zeta_prime_minus_one
 
 _LOG2 = float(np.log(2.0))
@@ -58,14 +58,18 @@ class ExpansionCoefficients:
         """The expansion at matrix size n, with the magnitude of the
         neglected error term, log n / n^{1 - 4 beta_max} (reported, never
         added)."""
-        if n < 1:
-            raise DomainError(f"need n >= 1, got {n}")
-        logn = np.log(float(n))
-        value = self.C1 * n * n + self.C2 * n + self.C3 * logn + self.C4
+        value, logn = _at_n(self.C1, self.C2, self.C3, self.C4, n)
         error_scale = logn / float(n) ** (1.0 - 4.0 * self.beta_max)
         return PredictionResult(
             value=complex(value), error_scale=float(error_scale), coefficients=self
         )
+
+
+def _at_n(c1, c2, c3, c4, n):
+    """(c1 n^2 + c2 n + c3 log n + c4, log n) at an integer matrix size n >= 1."""
+    n = as_integer(n)
+    logn = np.log(float(n))
+    return c1 * n * n + c2 * n + c3 * logn + c4, logn
 
 
 @dataclass(frozen=True)
@@ -150,18 +154,18 @@ def expansion_coefficients(V, measure, W, cfg):
     W = as_field(W)
     psi = measure.psi
     A = cfg.alpha_sum
-    zp = zeta_prime_minus_one()
+    g1, g2, g3, g4 = gue_asymptotic_constants()
     dV = _dV_cheb(V)
 
     c1 = {
-        "gaussian": complex(-_LOG2 - 0.75),
+        "gaussian": g1,
         "potential": complex(_potential_quadratic_term(dV, measure)),
     }
 
     dv_half, _ = cheb_weighted_integrals(dV)
     _, psiW_plus = cheb_weighted_integrals(psi * W)
     c2 = {
-        "gaussian": complex(_LOG_2PI),
+        "gaussian": g2,
         "alpha_log2": complex(-A * _LOG2),
         "potential": complex(-A / (2.0 * np.pi) * dv_half),
         "field": complex(psiW_plus),
@@ -171,7 +175,7 @@ def expansion_coefficients(V, measure, W, cfg):
         tail = cumulative_measure(measure, s.t)
         c2[f"beta_{idx}"] = complex(np.pi * 1j * s.beta * (1.0 - 2.0 * tail))
 
-    c3 = {"gaussian": complex(-1.0 / 12.0)}
+    c3 = {"gaussian": g3}
     for idx, s in enumerate(cfg, start=1):
         try:
             c3[f"sing_{idx}"] = complex(0.25 * s.alpha ** 2 - s.beta ** 2)
@@ -185,7 +189,7 @@ def expansion_coefficients(V, measure, W, cfg):
     psi_p1 = float(np.real(psi(1.0)))
     psi_m1 = float(np.real(psi(-1.0)))
     c4 = {
-        "zeta": complex(zp),
+        "zeta": g4,
         "field_mean": complex(A / (2.0 * np.pi) * w_half),
         "field_pair": complex(_field_pair_term(W)),
         "edge": complex(
@@ -258,8 +262,7 @@ def gue_exact_log(n):
         (2 pi)^{n/2} 2^{-n^2} n^{-n^2/2} prod_{j=1}^{n-1} j!,
 
     computed in log space."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = as_integer(n)
     log_factorials = float(np.sum(gammaln(np.arange(2, n + 1))))
     return (
         0.5 * n * _LOG_2PI
@@ -310,8 +313,7 @@ def krasovsky_log_ratio(cfg, n):
     """
     if any(s.beta != 0 for s in cfg):
         raise DomainError("krasovsky_log_ratio requires all beta = 0")
-    _, c_n, c_log, c_0 = _krasovsky_coefficients(cfg)
-    return complex(c_n * n + c_log * np.log(float(n)) + c_0)
+    return complex(_at_n(*_krasovsky_coefficients(cfg), n)[0])
 
 
 def _ratio_beta_coefficients(cfg):
@@ -347,8 +349,7 @@ def _ratio_beta_coefficients(cfg):
 
 def ratio_beta(cfg, n):
     """Jump-exponent deformation ratio at the Gaussian potential."""
-    _, c_n, c_log, c_0 = _ratio_beta_coefficients(cfg)
-    return complex(c_n * n + c_log * np.log(float(n)) + c_0)
+    return complex(_at_n(*_ratio_beta_coefficients(cfg), n)[0])
 
 
 def _ratio_potential_coefficients(V, measure, cfg):
@@ -378,8 +379,7 @@ def _ratio_potential_coefficients(V, measure, cfg):
 
 def ratio_potential(V, measure, cfg, n):
     """Potential deformation ratio at fixed singularities (no field)."""
-    c_2, c_n, _, c_0 = _ratio_potential_coefficients(V, measure, cfg)
-    return complex(c_2 * n * n + c_n * n + c_0)
+    return complex(_at_n(*_ratio_potential_coefficients(V, measure, cfg), n)[0])
 
 
 def _ratio_field_coefficients(measure, W, cfg):
@@ -398,8 +398,7 @@ def _ratio_field_coefficients(measure, W, cfg):
 
 def ratio_field(V, measure, W, cfg, n):
     """Field deformation ratio log D_n(V, W) - log D_n(V, 0)."""
-    _, c_n, _, c_0 = _ratio_field_coefficients(measure, W, cfg)
-    return complex(c_n * n + c_0)
+    return complex(_at_n(*_ratio_field_coefficients(measure, W, cfg), n)[0])
 
 
 def composed_constants(V, measure, W, cfg):

@@ -126,9 +126,9 @@ class ChebSeries:
     def __sub__(self, other):
         return ChebSeries(_padded_sum(self.coeffs, _as_coeffs(other), -1))
 
-    def coeff(self, k):
-        """c_k, with zeros past the stored length."""
-        return self.coeffs[k] if k < len(self.coeffs) else 0.0
+    def coeff(self, j):
+        """c_j, with zeros past the stored length."""
+        return self.coeffs[j] if j < len(self.coeffs) else 0.0
 
     @staticmethod
     def zero():

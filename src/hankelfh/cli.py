@@ -23,6 +23,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -198,10 +199,13 @@ class _Problem:
     """Domain objects built from a config, rescaled to [-1, 1]."""
 
     V: Potential
-    measure: object
-    W: ChebSeries
+    W: ChebSeries | None
     cfg: SingularityConfig
     rescaled: RescaledProblem
+
+    @cached_property
+    def measure(self):  # built on first use: the oracle never needs it
+        return equilibrium_measure(self.V)
 
     def correction(self, n):
         # + 0j keeps the [-1, 1] correction an exact 0j: it turns the signed
@@ -209,21 +213,12 @@ class _Problem:
         return self.rescaled.log_det_correction(n, self.cfg.alpha_sum) + 0j
 
 
-def _build_problem(cfg: ExperimentConfig, with_measure=True) -> _Problem:
+def _build_problem(cfg: ExperimentConfig) -> _Problem:
     a, b = cfg.support
-    if cfg.field_poly:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        comp = np.polynomial.polynomial.Polynomial(cfg.field_poly)(
-            np.polynomial.polynomial.Polynomial([mid, half])
-        )
-        w_series = ChebSeries.from_monomials(comp.coef)
-    elif cfg.field_cheb:
-        w_series = ChebSeries(cfg.field_cheb)
-    else:
-        w_series = ChebSeries.zero()
-    res = rescale(
-        Potential(cfg.potential), a, b, w_series, [s["t"] for s in cfg.singularities]
-    )
+    W = cfg.field_cheb or None
+    if cfg.field_poly:  # rescale composes it with the map onto [-1, 1]
+        W = np.polynomial.Polynomial(cfg.field_poly)
+    res = rescale(Potential(cfg.potential), a, b, W, [s["t"] for s in cfg.singularities])
     order = np.argsort(res.t) if res.t else []
     sings = tuple(
         Singularity(
@@ -233,13 +228,7 @@ def _build_problem(cfg: ExperimentConfig, with_measure=True) -> _Problem:
         )
         for i in order
     )
-    return _Problem(
-        V=res.V,
-        measure=equilibrium_measure(res.V) if with_measure else None,
-        W=res.W,
-        cfg=SingularityConfig(sings),
-        rescaled=res,
-    )
+    return _Problem(V=res.V, W=res.W, cfg=SingularityConfig(sings), rescaled=res)
 
 
 # ----------------------------------------------------------------- commands
@@ -267,8 +256,6 @@ def cmd_eqmeasure(cfg: ExperimentConfig):
 def _predict_rows(cfg: ExperimentConfig, prob: _Problem):
     """One row per n of cfg.n_list, from one evaluation of the constants."""
     rows = []
-    if not cfg.n_list:
-        return rows
     coeffs = expansion_coefficients(prob.V, prob.measure, prob.W, prob.cfg)
     for n in cfg.n_list:
         pred = coeffs.predict(n)
@@ -324,7 +311,7 @@ def _run_oracle_rows(cfg: ExperimentConfig, prob: _Problem):
 
 
 def cmd_oracle(cfg: ExperimentConfig):
-    prob = _build_problem(cfg, with_measure=False)
+    prob = _build_problem(cfg)
     rows = _run_oracle_rows(cfg, prob)
     code = 3 if any(not r["converged"] for r in rows) else 0
     return {"config": asdict(cfg), "rows": rows, "summary": {}}, code
@@ -382,6 +369,7 @@ def cmd_thinning(cfg: ExperimentConfig):
         f"needs points inside the support ({a}, {b})",
     )
     prob = _build_problem(cfg)
+    measure = prob.measure  # checks V's regularity even when n_list is empty
     spec = ThinningSpec(
         tuple(map(prob.rescaled.to_unit, cfg.thinning_boundaries)),
         dict(zip(cfg.thinning_sectors, cfg.thinning_s)),
@@ -395,7 +383,7 @@ def cmd_thinning(cfg: ExperimentConfig):
     tmap = thinning_to_betas(spec)
     rows = []
     for n in cfg.n_list:
-        pred = gap_probability_log(prob.V, prob.measure, spec, n)
+        pred = gap_probability_log(prob.V, measure, spec, n)
         row = {
             "n": n,
             "gap_log_probability": pred.value,

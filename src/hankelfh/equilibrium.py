@@ -37,6 +37,7 @@ from .errors import (
     RegularityError,
     SupportError,
 )
+from .singularities import as_integer
 
 #: normalisation slack beyond which the support cannot be [-1, 1]
 NORMALIZATION_TOL = 1e-8
@@ -278,6 +279,7 @@ class RescaledProblem:
         return float(np.log(0.5 * (self.b - self.a)))
 
     def log_det_correction(self, n, A=0.0):
+        n = as_integer(n)
         return (n * n + n * A) * self.log_half_width
 
     def to_unit(self, x):
@@ -290,8 +292,8 @@ def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
 
     V(x) = V~((a+b)/2 + x (b-a)/2), singularity locations map affinely, and
     a W~ given as a Chebyshev series on [a, b] keeps its coefficients (the
-    affine maps compose to the identity). Equals the identity when
-    [a, b] = [-1, 1].
+    affine maps compose to the identity); a W~ given as a numpy Polynomial
+    is composed like V~. Equals the identity when [a, b] = [-1, 1].
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -303,17 +305,21 @@ def rescale(V_tilde, a, b, W_tilde=None, t_tilde=()):
             raise DomainError(f"singularity location {tt} outside ({a}, {b})")
 
     affine = nppoly.Polynomial([mid, half])
-    with np.errstate(over="ignore", invalid="ignore"):
-        composed = nppoly.Polynomial(V_tilde.coeffs)(affine)
-    if not np.all(np.isfinite(composed.coef)):
-        raise DomainError(
-            f"support [{a}, {b}] is too wide: the potential rescaled to "
-            "[-1, 1] has coefficients that overflow a float"
-        )
-    V = Potential(composed.coef)
+
+    def compose(coeffs, what):  # p(affine) in monomials, checked for overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            composed = nppoly.Polynomial(coeffs)(affine).coef
+        if not np.all(np.isfinite(composed)):
+            raise DomainError(f"support [{a}, {b}] is too wide: {what} rescaled to "
+                              "[-1, 1] has coefficients that overflow a float")
+        return composed
+
+    V = Potential(compose(V_tilde.coeffs, "the potential"))
 
     W = None
-    if W_tilde is not None:
+    if isinstance(W_tilde, nppoly.Polynomial):
+        W = ChebSeries.from_monomials(compose(W_tilde.coef, "the field"))
+    elif W_tilde is not None:
         W = W_tilde if isinstance(W_tilde, ChebSeries) else ChebSeries(W_tilde)
 
     res = RescaledProblem(V=V, W=W, t=(), a=float(a), b=float(b))

@@ -15,12 +15,10 @@ from a spawned seed sequence, so results do not depend on batch scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError
-from .singularities import ThinningSpec
+from .singularities import ThinningSpec, as_integer
 
 MIN_SAMPLES = 10_000  # below this the estimate means little
 _BATCH = 20_000  # samples per RNG stream, fewer past n = 100: 2e6 entries at most
@@ -70,10 +68,9 @@ def mc_gap_probability(spec: ThinningSpec, n, samples, seed):
     underflowing to 0), the one-sigma bound 1/(samples + 1) stands in for
     the zero sample variance.
     """
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise DomainError(f"need an integer n >= 1, got {n!r}")
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} samples for a meaningful estimate")
+    n = as_integer(n)
+    samples = as_integer(samples, "samples", MIN_SAMPLES)
+    seed = as_integer(seed, "seed", 0)
     log_s = np.log(spec.s_tilde())
     ends = [-np.inf, *spec.boundaries, np.inf]
     size = max(1, min(_BATCH, 2_000_000 // n))

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple, Optional
 
 import mpmath as mp
@@ -57,7 +56,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from .equilibrium import Potential
 from .errors import ConvergenceError, DomainError
-from .singularities import SingularityConfig, as_field
+from .singularities import SingularityConfig, as_field, as_integer
 
 MOMENT_DETERMINANT = "moment_determinant"
 OP_RECURRENCE = "op_recurrence"
@@ -78,7 +77,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 def default_precision_bits(n):
     """The moment route's working bits without a reference, and the cap of
     the precision ladder (see oracle_log_det)."""
-    return max(256, 48 * int(n))
+    return max(256, 48 * as_integer(n))
 
 
 def wrap_phase(p):
@@ -108,8 +107,7 @@ class WeightSpec:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
-            raise DomainError(f"need an integer n >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", as_integer(self.n))
         for s in self.cfg:
             if math.pi * abs(s.beta.imag) > _LOG_FLOAT_MAX:
                 raise DomainError(f"singularity at t = {s.t}: its jump factor e^(pi "
@@ -532,8 +530,7 @@ def compute_moments(ws, count, precision_bits):
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-    if count < 1:
-        raise DomainError("need count >= 1")
+    count = as_integer(count, "count")
     n_mom = 2 * count - 1
     X = _find_cutoff(ws, n_mom - 1, precision_bits)
     workprec = precision_bits + _GUARD_BITS
@@ -633,6 +630,7 @@ def hankel_log_det(moments, k, precision_bits):
     A vanishing pivot is reported as an explicit zero-determinant result
     (complex weights may produce isolated zeros), never as an exception.
     """
+    k = as_integer(k, "k")
     if len(moments) < 2 * k - 1:
         raise DomainError(f"need {2 * k - 1} moments for a {k}x{k} determinant")
     with mp.workprec(precision_bits + _GUARD_BITS):

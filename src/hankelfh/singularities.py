@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -96,6 +97,13 @@ class SingularityConfig:
                 for s, b in zip(self.singularities, betas)
             )
         )
+
+
+def as_integer(value, name="n", minimum=1) -> int:
+    """value as an int if an integer >= minimum (no bool or float), else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise DomainError(f"need an integer {name} >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def as_field(W) -> ChebSeries:

@@ -30,7 +30,7 @@ import numpy as np
 from .asymptotics import predict_log_hankel
 from .errors import HypothesisError
 from .oracle import WeightSpec, op_recurrence_log_det
-from .singularities import Singularity, SingularityConfig, ThinningSpec
+from .singularities import Singularity, SingularityConfig, ThinningSpec, as_integer
 
 TWO_PI_I = 2j * np.pi
 
@@ -86,6 +86,7 @@ def gap_probability_log(V, measure, spec, n) -> GapPrediction:
     through the expansion. The result is real (purely imaginary beta~) and
     non-positive up to the reported error scale.
     """
+    n = as_integer(n)
     tmap, base, thinned = _thinning_configs(spec)
     if not spec.kept:
         return GapPrediction(value=0.0, error_scale=0.0)
@@ -98,6 +99,7 @@ def gap_probability_log(V, measure, spec, n) -> GapPrediction:
 def gap_probability_log_exact(V, spec, n):
     """Finite-n log gap probability from exact Hankel determinants: both come
     from the float64 recurrence, certified to 1e-10 by doubling its nodes."""
+    n = as_integer(n)
     tmap, base, thinned = _thinning_configs(spec)
     if not spec.kept:
         return 0.0

@@ -135,14 +135,20 @@ def test_huge_singularity_exponent_exits_2_naming_the_cause(
 
 
 @pytest.mark.parametrize(
-    "support, cause",
+    "support, extra, cause",
     [
-        ([-1e308, 1e308], "(b - a)/2 overflows"),
-        ([-1e200, 1e200], "coefficients that overflow"),
+        ([-1e308, 1e308], {}, "(b - a)/2 overflows"),
+        ([-1e200, 1e200], {}, "the potential rescaled to [-1, 1] has coefficients"),
+        ([-1e308, 1e308], {"field_poly": [0, 1]}, "(b - a)/2 overflows"),
+        ([-1e100, 1e100], {"potential": [0, 0, 2e-200], "field_poly": [0, 0, 1e200]},
+         "the field rescaled to [-1, 1] has coefficients"),
     ],
+    ids=["support0-(b - a)/2 overflows", "support1-coefficients that overflow",
+         "field_poly-(b - a)/2 overflows", "field_poly-coefficients that overflow"],
 )
-def test_overflowing_support_exits_2_naming_it(tmp_path, capsys, support, cause):
-    path = write_config(tmp_path, {"support": support, "n_list": [3]})
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_support_exits_2_naming_it(tmp_path, capsys, support, extra, cause):
+    path = write_config(tmp_path, {"support": support, "n_list": [3], **extra})
     code, out, err = run_cli(capsys, "predict", "--config", path)
     assert code == 2
     assert out == ""
@@ -235,6 +241,21 @@ def test_eqmeasure_double_well_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eqmeasure", "--config", path)
     assert code == 2
     assert "condition 4" in err
+
+
+def test_oracle_needs_no_equilibrium_measure(capsys, tmp_path):
+    # the double well is not one-cut regular, which only the expansion needs;
+    # the commands that use it report that even with no n to evaluate
+    well = {"potential": [0, 0, -7.0, 0, 6.0]}
+    path = write_config(tmp_path, dict(well, n_list=[3]))
+    code, out, _ = run_cli(capsys, "oracle", "--config", path)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["converged"]
+    for command in ("predict", "compare", "thinning"):
+        for data in (dict(well, n_list=[3]), well):
+            code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, data))
+            assert code == 2 and out == "", (command, data)
+            assert "condition 4" in err
 
 
 def test_eqmeasure_sextic_exits_2_naming_condition_3(capsys, tmp_path):

@@ -146,3 +146,9 @@ def test_validation():
     for n in (2.5, 3.0, True, "4"):
         with pytest.raises(DomainError, match="need an integer n >= 1"):
             hf.mc_gap_probability(spec, n, 10_000, seed=0)
+    for samples in (20000.0, True, 9_999):
+        with pytest.raises(DomainError, match="need an integer samples >= 10000"):
+            hf.mc_gap_probability(spec, 8, samples, 1)
+    for seed in (1.5, -1, None):
+        with pytest.raises(DomainError, match="need an integer seed >= 0"):
+            hf.mc_gap_probability(spec, 8, 20_000, seed)
