@@ -12,11 +12,19 @@ weighted integrals and finite Hilbert transforms have closed forms:
 These identities make every integral appearing in the expansion coefficients
 exact for polynomial data.
 
+Evaluation is one Clenshaw loop over the coefficients as Python numbers, in
+numpy.polynomial.chebyshev.chebval's order of operations: a scalar x costs a
+few float operations per coefficient, and scalars and arrays give chebval's
+values bit for bit. The finite Hilbert transform sums its U-series at a
+scalar point by the same recurrence.
+
 Series arithmetic is plain numpy on the coefficient arrays: sums pad the
 shorter series, products use T_i T_j = (T_{i+j} + T_{|i-j|})/2 through one
 convolution, and monomials convert through a cached exact basis matrix.
 Results drop trailing exact zeros, so lengths and values match
-numpy.polynomial.chebyshev's chebadd, chebsub, chebmul and poly2cheb.
+numpy.polynomial.chebyshev's chebadd, chebsub, chebmul and poly2cheb. The
+weighted integrals of a product need only its coefficients 0 and 2, which
+cheb_product_integrals forms from the two factors without the product.
 """
 
 from __future__ import annotations
@@ -24,11 +32,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DomainError
+
+
+def _clenshaw(c, x):
+    """sum_k c[k] T_k(x) for a list c, by Clenshaw's recurrence in
+    numpy.polynomial.chebyshev.chebval's order of operations; x is a scalar
+    or an array."""
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c
+    else:
+        x2 = 2 * x
+        c0, c1 = c[-2], c[-1]
+        for ck in c[-3::-1]:
+            c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _trim(c):
@@ -111,7 +137,7 @@ class ChebSeries:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return npcheb.chebval(x, self.coeffs)
+        return _clenshaw(self.coeffs.tolist(), x)
 
     def __mul__(self, other):
         if isinstance(other, ChebSeries):
@@ -152,29 +178,49 @@ def _as_coeffs(other):
 def cheb_weighted_integrals(f):
     """Both Chebyshev-weighted integrals of a series, in closed form.
 
+    f is a ChebSeries or a list of its T-coefficients.
+
     Returns
     -------
     (I_minus, I_plus) : tuple
         I_minus = int_{-1}^{1} f(x)/sqrt(1-x^2) dx = pi*c_0
         I_plus  = int_{-1}^{1} f(x)*sqrt(1-x^2) dx = pi/2*c_0 - pi/4*c_2
     """
-    c0 = f.coeff(0)
-    c2 = f.coeff(2)
-    return np.pi * c0, 0.5 * np.pi * c0 - 0.25 * np.pi * c2
+    c = f.coeffs if isinstance(f, ChebSeries) else f
+    c0 = c[0]
+    c2 = c[2] if len(c) > 2 else 0.0
+    return math.pi * c0, 0.5 * math.pi * c0 - 0.25 * math.pi * c2
 
 
-def _cheb_values(y, count, first):
-    """P_0(y) .. P_{count-1}(y), stacked along a new first axis, for P_0 = 1,
-    P_1 = first * y and the three-term recurrence P_k = 2 y P_{k-1} - P_{k-2}:
-    first = 1 gives T_k, first = 2 gives U_k."""
-    y = np.asarray(y)
-    vals = np.empty((count,) + y.shape, dtype=np.result_type(y, 1.0))
+def cheb_product_integrals(a, b):
+    """cheb_weighted_integrals of the product of the T-series with
+    coefficient sequences a and b, from the product's coefficients 0 and 2
+    alone. By T_i T_j = (T_{i+j} + T_{|i-j|})/2 these are
+
+        c_0 = (a_0 b_0 + sum_i a_i b_i) / 2
+        c_2 = (a_0 b_2 + a_1 b_1 + a_2 b_0 + sum_i (a_i b_{i+2} + a_{i+2} b_i)) / 2
+
+    with a and b padded by zeros to length 3.
+    """
+    a = list(a) + [0.0] * (3 - len(a))
+    b = list(b) + [0.0] * (3 - len(b))
+    c0 = 0.5 * (a[0] * b[0] + sum(map(mul, a, b)))
+    c2 = 0.5 * (a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
+                + sum(map(mul, a, b[2:])) + sum(map(mul, a[2:], b)))
+    return cheb_weighted_integrals([c0, 0.0, c2])
+
+
+def _cheb_values(x, count):
+    """T_0(x) .. T_{count-1}(x), stacked along a new first axis, by the
+    three-term recurrence T_k = 2 x T_{k-1} - T_{k-2}."""
+    x = np.asarray(x)
+    vals = np.empty((count,) + x.shape, dtype=np.result_type(x, 1.0))
     if count >= 1:
         vals[0] = 1.0
     if count >= 2:
-        vals[1] = first * y
+        vals[1] = x
     for k in range(2, count):
-        vals[k] = 2.0 * y * vals[k - 1] - vals[k - 2]
+        vals[k] = 2.0 * x * vals[k - 1] - vals[k - 2]
     return vals
 
 
@@ -183,29 +229,27 @@ def hilbert_T(f, y):
 
     Computes pv int_{-1}^{1} f(x) / (sqrt(1-x^2)(x-y)) dx for y in (-1, 1)
     through the basis identity pv int T_k/(sqrt(1-x^2)(x-y)) = pi*U_{k-1}(y)
-    (zero for k = 0).
+    (zero for k = 0). The U-series sum_k c_k U_{k-1}(y) is summed by
+    Clenshaw's recurrence, whose last step for the U basis is the plain one.
     """
     if not -1.0 < y < 1.0:
         raise DomainError(f"hilbert_T needs y strictly inside (-1, 1), got {y}")
-    c = f.coeffs
-    if len(c) == 1:
-        return 0.0 * c[0]
-    u = _cheb_values(y, len(c) - 1, 2.0)
-    return np.pi * np.dot(c[1:], u)
+    c = f.coeffs.tolist()
+    b1 = b2 = 0.0 * c[0]
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2.0 * y * b1 - b2, b1
+    return math.pi * b1
 
 
 def t_to_u(coeffs):
     """Rewrite sum c_k T_k as sum g_l U_l (same polynomial).
 
     Uses T_0 = U_0, T_1 = U_1/2 and T_k = (U_k - U_{k-2})/2 for k >= 2.
+    Returns the g_l as a list.
     """
-    c = np.atleast_1d(np.asarray(coeffs))
-    g = np.zeros(len(c), dtype=c.dtype)
-    g[0] = c[0]
-    if len(c) > 1:
-        g[1] += 0.5 * c[1]
+    c = np.atleast_1d(coeffs).tolist()
+    g = [c[0]] + [0.5 * ck for ck in c[1:]]
     for k in range(2, len(c)):
-        g[k] += 0.5 * c[k]
         g[k - 2] -= 0.5 * c[k]
     return g
 
@@ -214,9 +258,10 @@ def u_to_t(g):
     """Rewrite sum g_l U_l as a T-series (inverse of t_to_u).
 
     Uses U_l = 2*(T_l + T_{l-2} + ...) with the trailing T_0 counted once.
+    Returns the T-coefficients as a list.
     """
-    g = np.atleast_1d(np.asarray(g))
-    t = np.zeros(len(g), dtype=g.dtype)
+    g = np.atleast_1d(g).tolist()
+    t = [0.0 * g[0]] * len(g)
     for l, gl in enumerate(g):
         if gl == 0:
             continue
@@ -234,7 +279,7 @@ def _log_kernel_interior(g, x):
         l = 0 : pi*T_2(x)/4 - (pi/2) log 2
         l >= 1: (pi/2) * (T_{l+2}(x)/(l+2) - T_l(x)/l)
     """
-    t = _cheb_values(x, len(g) + 2, 1.0)
+    t = _cheb_values(x, len(g) + 2)
     total = g[0] * (0.25 * np.pi * t[2] - 0.5 * np.pi * np.log(2.0))
     for l in range(1, len(g)):
         total += g[l] * 0.5 * np.pi * (t[l + 2] / (l + 2) - t[l] / l)
@@ -270,7 +315,7 @@ def log_kernel_integral(rho_psi, x):
         raise DomainError(f"log_kernel_integral needs finite x, got {bad}")
     g = t_to_u(rho_psi.coeffs)
     inside = np.abs(x) <= 1.0
-    out = np.empty(x.shape, dtype=np.result_type(g, x))
+    out = np.empty(x.shape, dtype=np.result_type(rho_psi.coeffs, x))
     out[inside] = _log_kernel_interior(g, x[inside])
     out[~inside] = _log_kernel_exterior(g, x[~inside])
     return out[()]

@@ -50,6 +50,29 @@ EXTERIOR_GRID = 400
 SUPPORT_GRID = 201
 
 
+#: the fixed grids of check_one_cut_regular: the closed support; points
+#: geometric in 1 + 1e-6 <= |x| <= X_MAX on both sides; and the pairs at
+#: which the slack must already increase towards +-X_MAX
+_SUPPORT_POINTS = np.linspace(-1.0, 1.0, SUPPORT_GRID)
+_EXTERIOR_POINTS = np.geomspace(1.0 + 1e-6, X_MAX, EXTERIOR_GRID // 2)
+_EXTERIOR_POINTS = np.concatenate([-_EXTERIOR_POINTS[::-1], _EXTERIOR_POINTS])
+_TAIL_POINTS = np.array([X_MAX, 0.9 * X_MAX, -X_MAX, -0.9 * X_MAX])
+for _grid in (_SUPPORT_POINTS, _EXTERIOR_POINTS, _TAIL_POINTS):
+    _grid.setflags(write=False)
+
+
+def _horner(c, x):
+    """sum_k c[k] x^k for a list c, by Horner's rule in
+    numpy.polynomial.polynomial.polyval's order of operations; x is a scalar
+    or an array."""
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
 @dataclass(frozen=True)
 class Potential:
     """Real polynomial potential, stored by ascending monomial coefficients."""
@@ -77,7 +100,7 @@ class Potential:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return nppoly.polyval(x, self.coeffs)
+        return _horner(self.coeffs.tolist(), x)
 
     def derivative_coeffs(self):
         return nppoly.polyder(self.coeffs)
@@ -203,7 +226,7 @@ def check_one_cut_regular(V, measure):
     """
     psi, ell = measure.psi, measure.ell
 
-    grid = np.linspace(-1.0, 1.0, SUPPORT_GRID)
+    grid = _SUPPORT_POINTS
     psi_vals = np.real(psi(grid))
     i_min = int(np.argmin(psi_vals))
     psi_min, psi_loc = float(psi_vals[i_min]), float(grid[i_min])
@@ -216,8 +239,7 @@ def check_one_cut_regular(V, measure):
             location=loc,
         )
 
-    half = np.geomspace(1.0 + 1e-6, X_MAX, EXTERIOR_GRID // 2)
-    ext = np.concatenate([-half[::-1], half])
+    ext = _EXTERIOR_POINTS
     slack = _exterior_slack(V, psi, ell, ext)
     i_worst = int(np.argmin(slack))
     margin = float(-slack[i_worst])  # largest value of ell + 2U - V
@@ -232,9 +254,7 @@ def check_one_cut_regular(V, measure):
 
     # Beyond X_MAX the polynomial growth of V beats the 2 log|x| potential;
     # record that the slack is already increasing at the grid edge.
-    tail = _exterior_slack(
-        V, psi, ell, np.array([X_MAX, 0.9 * X_MAX, -X_MAX, -0.9 * X_MAX])
-    )
+    tail = _exterior_slack(V, psi, ell, _TAIL_POINTS)
     tail_ok = tail[0] > tail[1] and tail[2] > tail[3]
 
     return RegularityCertificate(

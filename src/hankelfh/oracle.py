@@ -52,7 +52,6 @@ from mpmath.libmp import (
     from_float, fzero, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul,
     mpf_mul_int, mpf_neg, mpf_sub, round_nearest, to_fixed, to_float,
 )
-from numpy.polynomial import chebyshev as npcheb
 
 from .equilibrium import Potential
 from .errors import ConvergenceError, DomainError
@@ -164,7 +163,7 @@ def _log_weight(ws, x, own=None, log_s=None):
     -n V(x) + W(x) + sum_j alpha_j log|x - t_j|, complex where some alpha
     is. Where own == j, log_s stands for log|x - t_j|; x must avoid the
     other t_j."""
-    e = -ws.n * ws.V(x) + npcheb.chebval(x, ws.W.coeffs)
+    e = -ws.n * ws.V(x) + ws.W(x)
     for j, s in enumerate(ws.cfg):
         if s.alpha != 0:
             d = np.log(np.abs(x - s.t))

@@ -69,17 +69,14 @@ class SingularityConfig:
         return iter(self.singularities)
 
     @property
-    def alphas(self):
-        return np.array([s.alpha for s in self.singularities], dtype=complex)
-
-    @property
     def alpha_sum(self):
-        return complex(self.alphas.sum()) if len(self) else 0.0 + 0.0j
+        return sum((s.alpha for s in self.singularities), 0j)
 
     def alpha_signed_partial(self, j):
         """sum_{l<j} alpha_l - sum_{l>j} alpha_l (0-based j)."""
-        a = self.alphas
-        return complex(a[:j].sum() - a[j + 1:].sum())
+        sings = self.singularities
+        before = sum((s.alpha for s in sings[:j]), 0j)
+        return before - sum((s.alpha for s in sings[j + 1:]), 0j)
 
     @property
     def beta_max(self):

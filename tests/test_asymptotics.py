@@ -1,5 +1,7 @@
 """Expansion constants, specialisations, and the composition identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -460,9 +462,103 @@ def test_predict_is_the_expansion_at_n(gue_potential, gue_measure):
     for n in (1, 7, 40):
         pred = coeffs.predict(n)
         assert pred == hf.predict_log_hankel(gue_potential, gue_measure, W, cfg, n)
-        expected = (coeffs.C1 * n * n + coeffs.C2 * n + coeffs.C3 * np.log(n)
+        expected = (coeffs.C1 * n * n + coeffs.C2 * n + coeffs.C3 * math.log(n)
                     + coeffs.C4)
         assert pred.value == expected
         assert pred.coefficients is coeffs
     with pytest.raises(DomainError, match="n >= 1"):
         coeffs.predict(0)
+
+
+# ---------------------------------------------- nearby singularities, density
+
+
+@pytest.mark.parametrize("separation", [1e-3, 1e-5, 1e-7, 1e-10, 1e-14])
+def test_pair_terms_keep_their_digits_for_nearby_singularities(
+    gue_potential, gue_measure, separation
+):
+    # 1 - t_j t_k - sqrt((1 - t_j^2)(1 - t_k^2)) cancels to ~separation^2;
+    # both assemblies must still match the extended-precision value
+    import mpmath as mp
+
+    from hankelfh.asymptotics import _ratio_beta_coefficients
+
+    t_j, t_k = 0.3, 0.3 + separation
+    a_j, a_k, b_j, b_k = 0.5, 1.2, 0.1 + 0.05j, -0.15j
+    with mp.workdps(60):
+        tj, tk = mp.mpf(t_j), mp.mpf(t_k)
+        log_dt = mp.log(tk - tj)
+        log_cross = mp.log(1 - tj * tk - mp.sqrt((1 - tj ** 2) * (1 - tk ** 2)))
+        aa, bb = mp.mpc(a_j * a_k), mp.mpc(b_j) * mp.mpc(b_k)
+        pair = complex(2 * bb * log_cross - aa / 2 * mp.log(2) - (aa / 2 + 2 * bb) * log_dt)
+        ratio_pair = complex(2 * bb * (log_cross - log_dt))
+
+    cfg = cfg_of(hf.Singularity(t_j, a_j, b_j), hf.Singularity(t_k, a_k, b_k))
+    got = constants(gue_potential, gue_measure, cfg=cfg).term_breakdown["C4"]["pair_12"]
+    assert abs(got - pair) <= 1e-13 * abs(pair)
+
+    # with alpha = 0 the ratio's singularities interact through the pair term only
+    def c0(*sings):
+        return _ratio_beta_coefficients(cfg_of(*sings))[3]
+
+    sj, sk = hf.Singularity(t_j, 0.0, b_j), hf.Singularity(t_k, 0.0, b_k)
+    got = c0(sj, sk) - c0(sj) - c0(sk)
+    assert abs(got - ratio_pair) <= 1e-13 * abs(ratio_pair)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coeffs, location",
+    [([1.0, 2.0], -1.0), ([1.0, -2.0], 1.0), ([0.0, 0.0, 1.0], 0.2)],
+    ids=["minus-one", "plus-one", "at-singularity"],
+)
+def test_nonpositive_density_is_a_regularity_error(gue_potential, coeffs, location):
+    # psi = 1 + 2x, 1 - 2x and 2x^2 - 1 fail at -1, +1 and at t = 0.2; the
+    # expansion takes logs of psi there, so it must name condition 4 first
+    measure = hf.EquilibriumMeasure(psi=ChebSeries(coeffs), ell=0.0, regularity=None)
+    cfg = cfg_of(hf.Singularity(0.2, 0.5, 0.1j))
+    for assemble in (hf.expansion_coefficients, hf.composed_constants):
+        with pytest.raises(hf.RegularityError, match="condition 4") as info:
+            assemble(gue_potential, measure, None, cfg)
+        assert info.value.condition == 4
+        assert info.value.location == location
+
+
+# ----------------------------------------------------------- pinned values
+
+#: C1..C4 of perfbench/workloads.sweep_configs(seed=5, count=12), as
+#: expansion_coefficients computed them with numpy scalar arithmetic
+PINNED_SWEEP_CONSTANTS = (
+    ((-1.4431471805599454+0j), (2.0935330451861773+0.06267948818852163j), (-0.044050839254466054-0.00512393879519017j), (-0.06390694316140808-0.02614131186912881j)),
+    ((-1.4081273237313947+0j), (0.2842005274372721-0.2538660951446383j), (0.48997710062625266-0.06511690433997219j), (0.7856779497597729-0.14997673912835965j)),
+    ((-1.4431471805599454+0j), (0.5208712944424355+0.06260464181795791j), (0.7744545894445507+0.09981600100006158j), (0.4907033347068286+0.6202010352087538j)),
+    ((-1.3268921549664183+0j), (1.324225690872051+0.04074859301819418j), (0.14957737352793704+0.007383456156356853j), (0.21905093255788208+0.020742608809109518j)),
+    ((-1.4431471805599454+0j), (1.3185713611673908+0.1615197168342386j), (0.3838358318269401+0.09034622567471852j), (0.08230503134009992-0.2791426508151799j)),
+    ((-0.8916408463860144+0j), (-0.01679686974618544+0.14458903742068316j), (0.6708041004730647-0.040382330893936j), (-0.03518309442879419-0.49718369031526727j)),
+    ((-1.4431471805599454+0j), (1.2266139532857903+0.062430197233410895j), (-0.05228818018486167+0.04021551014694731j), (-0.10688247391170091+0.0895722237997296j)),
+    ((-1.2183263454780882+0j), (1.0364622517885125-0.5604256921794486j), (-0.012781372642987177+0.12648226657475492j), (0.07387787565268827+0.2794992481288266j)),
+    ((-1.4431471805599454+0j), (0.3743775034818818+0.4853691709594622j), (0.4880817643150308-0.07356309316340227j), (0.04661586798376424-0.15433587418797526j)),
+    ((-1.0627329440028777+0j), (1.2238890857844182-0.04121120524817844j), (0.026017912907620802-0.0001546997942229694j), (-0.1444407889308941-0.019331331151635482j)),
+    ((-1.4431471805599454+0j), (1.029758207833446-0.345147531799601j), (0.04828505942258099+0.035096537301776684j), (0.377763981295852+0.041078888758270704j)),
+    ((-0.9892216036386694+0j), (1.802198159092879+0.056818663449974466j), (0.11596886951321761+0.08280517047884663j), (-0.032083528125837174-0.019222092310679104j)),
+)
+
+
+def test_sweep_constants_are_pinned(monkeypatch):
+    # the composition identity compares two assemblies that share their
+    # primitives (Clenshaw, Horner, the product integrals, log Barnes G), so
+    # an error in one of those shows only against recorded values
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import sweep_configs
+
+    configs = sweep_configs(seed=5, count=len(PINNED_SWEEP_CONSTANTS))
+    for (V, W, cfg), pinned in zip(configs, PINNED_SWEEP_CONSTANTS):
+        measure = hf.equilibrium_measure(V)
+        for got in (
+            hf.expansion_coefficients(V, measure, W, cfg).as_tuple(),
+            hf.composed_constants(V, measure, W, cfg),
+        ):
+            for g, p in zip(got, pinned):
+                assert abs(g - p) <= 1e-13 * abs(p), (got, pinned)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hankelfh as hf
-from hankelfh.chebyshev import ChebSeries, t_to_u, u_to_t
+from hankelfh.chebyshev import ChebSeries, _product, cheb_product_integrals, t_to_u, u_to_t
+from hankelfh.equilibrium import _horner
 from hankelfh.errors import DomainError
 
 
@@ -291,3 +292,38 @@ def test_series_arithmetic_drops_trailing_zeros_as_numpy_does():
     assert (ChebSeries([1.0, 0.0, 0.0]) * ChebSeries([0.0, 1.0, 0.0])).degree == 1
     assert ChebSeries.from_monomials([0, 0, 2, 0, 0]).coeffs.tolist() == [1.0, 0.0, 1.0]
     assert ChebSeries.from_monomials([0, 0, 0, 0, 8]).coeffs.tolist() == [3.0, 0.0, 4.0, 0.0, 1.0]
+
+
+# ------------------------------------------------ evaluation kernels against numpy
+
+_point = st.floats(-3, 3)
+_points = st.one_of(
+    _point,
+    st.builds(complex, _point, _point),
+    st.lists(_point, max_size=5).map(np.array),
+)
+
+
+def assert_same_bits(mine, reference):
+    mine, reference = np.asarray(mine), np.asarray(reference)
+    assert mine.dtype == reference.dtype and mine.shape == reference.shape
+    assert mine.tobytes() == reference.tobytes(), (mine, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_arrays(), _points)
+def test_clenshaw_and_horner_match_numpy_bit_for_bit(c, x):
+    # scalar or array x, real or complex coefficients: ChebSeries evaluation
+    # and the potential's Horner loop repeat numpy's operations in its order
+    assert_same_bits(ChebSeries(c)(x), np.polynomial.chebyshev.chebval(x, c))
+    assert_same_bits(_horner(c.tolist(), x), np.polynomial.polynomial.polyval(x, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_arrays(), coefficient_arrays())
+def test_product_integrals_match_the_full_product(a, b):
+    mine = cheb_product_integrals(a.tolist(), b.tolist())
+    reference = hf.cheb_weighted_integrals(ChebSeries(_product(a, b)))
+    scale = 1.0 + float(np.abs(a).sum() * np.abs(b).sum())
+    for m, r in zip(mine, reference):
+        assert abs(m - r) <= 1e-14 * scale
