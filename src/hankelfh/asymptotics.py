@@ -23,9 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import gammaln
-
 from .chebyshev import cheb_product_integrals, cheb_weighted_integrals, hilbert_T, t_to_u
 from .errors import DomainError, RegularityError
 from .singularities import as_field, as_integer
@@ -286,7 +283,7 @@ def gue_exact_log(n):
 
     computed in log space."""
     n = as_integer(n)
-    log_factorials = float(np.sum(gammaln(np.arange(2, n + 1))))
+    log_factorials = math.fsum(math.lgamma(j) for j in range(2, n + 1))
     return (
         0.5 * n * _LOG_2PI
         - n * n * _LOG2

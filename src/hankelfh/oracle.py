@@ -55,7 +55,7 @@ from mpmath.libmp import (
 
 from .equilibrium import Potential
 from .errors import ConvergenceError, DomainError
-from .singularities import SingularityConfig, as_field, as_integer
+from .singularities import Singularity, SingularityConfig, as_field, as_integer
 
 MOMENT_DETERMINANT = "moment_determinant"
 OP_RECURRENCE = "op_recurrence"
@@ -496,7 +496,9 @@ def _nodes(level, panels, evaluator, workprec, G):
 def compute_moments(ws, count, precision_bits):
     """Moments w_0 .. w_{2 count - 2} by progressive tanh-sinh panels, in
     mpmath arithmetic at precision_bits >= MIN_PRECISION_BITS plus 64 guard
-    bits.
+    bits. The panels end at -X, X and every t_j; a weight without
+    singularities is split at x = 0, since one panel [-X, X] would put its
+    sparsest nodes at the weight's peak.
 
     Refinement doubles the node density until every moment is stable
     relative to its absolute-value integral (the scale at which the
@@ -533,6 +535,8 @@ def compute_moments(ws, count, precision_bits):
     n_mom = 2 * count - 1
     X = _find_cutoff(ws, n_mom - 1, precision_bits)
     workprec = precision_bits + _GUARD_BITS
+    if not ws.cfg:
+        ws = replace(ws, cfg=SingularityConfig((Singularity(0.0),)))
     for s in ws.cfg:
         turn = (abs(s.alpha.imag) * (workprec + 16) * math.log(2)
                 / ((1 + s.alpha.real) * (1 << _MAX_LEVEL)))

@@ -181,6 +181,24 @@ def test_gue_converges_at_default_precision(n):
     assert abs(res.log_abs - hf.gue_exact_log(n)) < 1e-9
 
 
+def test_weight_without_singularities_is_split_at_zero(monkeypatch):
+    # one panel [-X, X] put its sparsest nodes at the GUE weight's peak and
+    # converged only at level 11 = _MAX_LEVEL here; split at 0 it converges
+    # a level earlier
+    levels, generate = [], oracle_mod._nodes
+
+    def spy(level, panels, *args):
+        levels.append((level, len(panels)))
+        return generate(level, panels, *args)
+
+    monkeypatch.setattr(oracle_mod, "_nodes", spy)
+    moments = hf.compute_moments(gue_weight(24), 24, 1152)
+    assert {count for _, count in levels} == {2}
+    assert max(level for level, _ in levels) < oracle_mod._MAX_LEVEL
+    det = hf.hankel_log_det(moments, 24, 1152)
+    assert abs(det.log_abs - hf.gue_exact_log(24)) < 1e-9
+
+
 @pytest.fixture
 def rung_bits(monkeypatch):
     """The precision_bits of every compute_moments call, in order."""
@@ -671,14 +689,14 @@ def test_stall_names_the_worst_moment_and_by_how_much(monkeypatch):
     assert float(bits) > 0
     assert float(X) >= 2.0
     assert int(workprec) == 256 + oracle_mod._GUARD_BITS
-    # one panel: every node within the floor of both its ends at both
-    # levels, evaluated or screened out; j = 0 once
+    # the two panels split at 0: every node within the floor of both ends
+    # of each at both levels, evaluated or screened out; j = 0 once a panel
     prec = int(workprec)
     floor = oracle_mod._floor_bits(prec, None)
     nodes = 0
     for level in (oracle_mod._START_LEVEL, oracle_mod._START_LEVEL + 1):
         run = oracle_mod._tanh_sinh_run(level, level > oracle_mod._START_LEVEL, prec, floor)
-        nodes += 2 * int((run.need <= floor).sum()) - (level == oracle_mod._START_LEVEL)
+        nodes += 2 * (2 * int((run.need <= floor).sum()) - (level == oracle_mod._START_LEVEL))
     assert int(evaluated) + int(skipped) == nodes
     assert int(skipped) > 0
     assert message.endswith(
@@ -755,7 +773,7 @@ PAIR = ((-0.4, 1.0, 0.05 + 0.05j), (0.5, 0.6, -0.08j))
         (hf.Potential.gue(), None, PAIR, 12,
          "2670dafde3cf9f66dbc31bc0f7af13e65974075f76a6c62fe4526febd0e5e3b0"),
         (hf.Potential.gue(), None, (), 8,
-         "f6bfed3c5186f263b881019eb4420295a8bd4931625ac6d5cfa00e732b596de9"),
+         "fde78c2042cbc7fd0fb666eea36f701b21c15cf1986e98dee1018722af759a46"),
         (hf.Potential.gue(), None, ((0.3, 2.0),), 8,
          "274678146430edb688dcc5ed415073ab8e53ece769c9945afa4125394c9af113"),
         (hf.Potential([0.0, 0.0, 1.4, 0.0, 0.4]), ChebSeries([0.0, 0.5, 0.25]),

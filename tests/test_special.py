@@ -1,11 +1,17 @@
 """Barnes-G / zeta-derivative against independent oracles."""
 
+import math
+import os
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
 
 import hankelfh as hf
+import hankelfh.special as special
 from hankelfh.errors import PoleError
 
 # --------------------------------------------------------------- log_barnes_g
@@ -151,3 +157,69 @@ def test_barnes_g_overflow_is_not_finite_and_silent():
         warnings.simplefilter("error")
         for z in (1e154, 1 + 5e153 + 0.1j, 1e300):
             assert not cmath.isfinite(hf.log_barnes_g(z))
+
+
+# ------------------------------------------------------ log Gamma kernel
+
+
+def test_log_gamma_grid_against_mpmath_on_the_principal_branch():
+    # mpmath's loggamma is the principal branch too: no 2 pi i reduction
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        z = complex(rng.uniform(-3, 8), rng.uniform(-6, 6))
+        with mp.workdps(30):
+            oracle = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        assert abs(special._log_gamma(z) - oracle) < 2e-14 * max(1.0, abs(oracle)), z
+
+
+def test_log_gamma_on_the_negative_axis_matches_scipy():
+    # with a +0.0 imaginary part both take the limit from above:
+    # 1.2655 - pi i at -0.5 and -0.0562 - 3 pi i at -2.5
+    for x in (-0.5, -1.3, -2.5, -7.9):
+        z = complex(x, 0.0)
+        value = special._log_gamma(z)
+        assert abs(value - complex(scipy.special.loggamma(z))) < 1e-14, x
+    assert abs(special._log_gamma(complex(-0.5, 0.0)) - (1.2655121234846454 - math.pi * 1j)) < 1e-14
+    assert special._log_gamma(complex(-2.5, 0.0)).imag == -3 * math.pi
+
+
+def test_log_gamma_is_real_on_the_positive_axis():
+    for x in (0.1, 1.0, 1.5, 2.0, 7.25, 30.0):
+        value = special._log_gamma(complex(x, 0.0))
+        assert value.imag == 0.0
+        assert value.real == math.lgamma(x)
+    assert special._log_gamma(1 + 0j) == special._log_gamma(2 + 0j) == 0
+
+
+def _scipy_log_barnes_g(z):
+    """log G by the same series, with every recurrence step a scipy
+    principal-branch loggamma value."""
+    z = complex(z)
+    down = max(0, round(z.real) - 1)
+    if down <= special._MAX_DOWN and abs(z - (down + 1)) <= special._TAYLOR_RADIUS:
+        return special._log_barnes_g_taylor(z - down) + sum(
+            complex(scipy.special.loggamma(z - j)) for j in range(1, down + 1))
+    shift = max(0, math.ceil(special._ASYMPTOTIC_RE - z.real))
+    return special._log_barnes_g_asymptotic(z + (shift - 1)) - sum(
+        complex(scipy.special.loggamma(z + j)) for j in range(shift))
+
+
+def test_barnes_g_matches_the_scipy_recurrence_on_the_same_branch():
+    # the log Gamma values of the recurrence, combined from one Stirling or
+    # Taylor-disk value and principal logs, against one scipy loggamma per
+    # step: equal without any 2 pi i reduction
+    for z in _barnes_grid():
+        reference = _scipy_log_barnes_g(z)
+        assert abs(hf.log_barnes_g(z) - reference) < 5e-14 * max(1.0, abs(reference)), z
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hankelfh, hankelfh.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
