@@ -5,7 +5,7 @@ import pytest
 
 import hankelfh as hf
 from hankelfh.errors import DomainError
-from hankelfh.montecarlo import _count_below, _sample_tridiagonal
+from hankelfh.montecarlo import _count_below, _sample_tridiagonal, _sector_counts
 
 
 def test_no_thinned_sector_certain_gap():
@@ -31,6 +31,40 @@ def test_deterministic_given_seed():
     assert c.estimate != a.estimate
 
 
+# (boundaries, s, n, samples, seed, estimate, stderr) as float.hex, recorded
+# with the reference formulas rng.normal and rng.chisquare and Sturm counts
+# at every sector end, -inf and +inf included. The first six are the
+# thinning_mc benchmark's cases; n = 400 runs two streams of 5000; the last
+# spec has no boundary and takes no Sturm pass.
+PINNED = (
+    ((0.0,), {1: 0.5}, 6, 20000, 101, '0x1.1000000000000p-3', '0x1.6e56547511622p-12'),
+    ((-0.3, 0.4), {1: 0.8, 3: 0.35}, 8, 20000, 102, '0x1.440cd6cb23e56p-4', '0x1.5794778fa0a5bp-12'),
+    ((0.0,), {1: 0.9}, 8, 20000, 103, '0x1.504f5271be93ap-1', '0x1.10eebafca337bp-12'),
+    ((-0.3, 0.4), {1: 0.8, 3: 0.35}, 16, 20000, 104, '0x1.6daa338c01033p-8', '0x1.a7c6e14c14ce2p-16'),
+    ((0.0,), {1: 0.9}, 24, 20000, 105, '0x1.21cb8c01ea17fp-2', '0x1.009e585dfc739p-13'),
+    ((0.0,), {1: 0.9}, 40, 20000, 106, '0x1.f321943caa4c6p-4', '0x1.cbdaa706267d7p-15'),
+    ((-0.2, 0.25), {2: 0.4}, 5, 20000, 99, '0x1.4957b7cce06e0p-2', '0x1.506eb98c66f99p-10'),
+    ((0.95,), {2: 0.9999}, 2, 20000, 7, '0x1.ffff8b90ed4dap-1', '0x1.15ebd13abc067p-23'),
+    ((0.0,), {1: 0.5}, 400, 10000, 400, '0x1.21460aa64c2e9p-200', '0x1.794908acb56e9p-208'),
+    ((), {1: 0.5}, 6, 10000, 3, '0x1.0000000000001p-6', '0x1.a3637230afb37p-14'),
+)
+
+
+@pytest.mark.parametrize("boundaries, s, n, samples, seed, estimate, stderr", PINNED)
+def test_estimates_pinned_bit_for_bit(boundaries, s, n, samples, seed, estimate, stderr):
+    est = hf.mc_gap_probability(hf.ThinningSpec(boundaries, s), n, samples, seed)
+    assert est == hf.McEstimate(float.fromhex(estimate), float.fromhex(stderr), samples, seed)
+
+
+def test_sampler_draws_the_stream_of_normal_and_chisquare():
+    for n in (1, 2, 12, 40):
+        diag, off_sq = _sample_tridiagonal(np.random.default_rng(n), n, 500)
+        rng = np.random.default_rng(n)
+        k = np.arange(n - 1, 0, -1)
+        assert np.array_equal(diag, rng.normal(0.0, np.sqrt(1.0 / (4.0 * n)), (n, 500))), n
+        assert np.array_equal(off_sq, rng.chisquare(2.0 * k[:, None], (n - 1, 500)) / (8.0 * n)), n
+
+
 def _dense(diag, off_sq):
     """The (batch, n, n) matrices of _sample_tridiagonal's output."""
     n, batch = diag.shape
@@ -49,6 +83,22 @@ def test_sturm_counts_match_eigvalsh():
         eigs = np.linalg.eigvalsh(_dense(diag, off_sq))
         expected = (eigs[None, :, :] < x[:, None, None]).sum(axis=2)
         np.testing.assert_array_equal(_count_below(diag, off_sq, x), expected, err_msg=f"n={n}")
+
+
+def test_sector_counts_are_interior_sturm_rows_between_0_and_n():
+    rng = np.random.default_rng(8)
+    for boundaries in ((), (0.1,), (-0.4, 0.25), (-0.6, 0.0, 0.7)):
+        for n in (1, 2, 12, 40):
+            diag, off_sq = _sample_tridiagonal(rng, n, 400)
+            counts = _sector_counts(diag, off_sq, boundaries)
+            below = np.vstack([np.zeros((1, 400), dtype=int),
+                               _count_below(diag, off_sq, boundaries), np.full((1, 400), n)])
+            np.testing.assert_array_equal(counts, np.diff(below, axis=0))
+            np.testing.assert_array_equal(counts.sum(axis=0), n)
+            eigs = np.linalg.eigvalsh(_dense(diag, off_sq))
+            sector = np.searchsorted(boundaries, eigs, side="right")
+            expected = (sector[None, :, :] == np.arange(len(boundaries) + 1)[:, None, None]).sum(axis=2)
+            np.testing.assert_array_equal(counts, expected, err_msg=f"{boundaries} n={n}")
 
 
 def test_zero_pivot_counts_a_boundary_eigenvalue_as_not_below():
